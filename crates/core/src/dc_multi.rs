@@ -607,16 +607,12 @@ pub struct DcLaneStream<const L: usize> {
     /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into))
     /// instead of position 0 only.
     unanchored: bool,
-    /// `true` (the default for unanchored streams) sources the
-    /// any-position hit test from the row kernel's fused per-lane AND
-    /// accumulator ([`dc_row_distance_acc`]); `false` re-scans each
-    /// lane's column scalar-per-step — kept as the A/B baseline
-    /// ([`Self::occurrence_scan_unfused`]).
-    fused: bool,
     /// Scalar column-scan operations (one per text position read by a
     /// per-lane probe scan) performed since the last
-    /// [`take_scan_ops`](Self::take_scan_ops). The fused path performs
-    /// none outside the rare `d >= m` exactness fallback.
+    /// [`take_scan_ops`](Self::take_scan_ops). Unanchored streams
+    /// answer their hit test from the row kernel's fused per-lane AND
+    /// accumulator ([`dc_row_distance_acc`]) and scan only in the
+    /// rare `d >= m` exactness fallback.
     scan_ops: u64,
 }
 
@@ -639,7 +635,6 @@ impl<const L: usize> Default for DcLaneStream<L> {
             rows_useful: 0,
             store: true,
             unanchored: false,
-            fused: true,
             scan_ops: 0,
         }
     }
@@ -680,25 +675,10 @@ impl<const L: usize> DcLaneStream<L> {
         }
     }
 
-    /// An unanchored occurrence stream with the **fused hit test
-    /// disabled**: per-lane results identical to
-    /// [`occurrence_scan`](Self::occurrence_scan), but every probe
-    /// re-scans the lane's column scalar-per-step (visible in
-    /// [`scan_ops`](Self::scan_ops)). This is the pre-fusion baseline,
-    /// kept for the bench A/B.
-    pub fn occurrence_scan_unfused() -> Self {
-        DcLaneStream {
-            store: false,
-            unanchored: true,
-            fused: false,
-            ..DcLaneStream::default()
-        }
-    }
-
     /// Scalar column-scan operations performed by probe scans since
     /// creation or the last [`take_scan_ops`](Self::take_scan_ops):
-    /// one per text position read. Fused streams report 0 outside the
-    /// `d >= m` exactness fallback.
+    /// one per text position read: `n` for each lane probed at a depth
+    /// `d >= m` (the exactness fallback), 0 otherwise.
     pub fn scan_ops(&self) -> u64 {
         self.scan_ops
     }
@@ -925,7 +905,7 @@ impl<const L: usize> DcLaneStream<L> {
             self.match_rows.push(match_row);
             self.ins_rows.push(ins_row);
             self.del_rows.push(del_row);
-        } else if self.unanchored && self.fused {
+        } else if self.unanchored {
             dc_row_distance_acc::<L>(
                 &self.text_pm,
                 &self.prev,
@@ -942,7 +922,6 @@ impl<const L: usize> DcLaneStream<L> {
 
         let stored = self.store;
         let unanchored = self.unanchored;
-        let fused = self.fused;
         let mut scan_ops = 0u64;
         for (lane, meta) in self.meta.iter_mut().enumerate() {
             if meta.state != LaneState::Active {
@@ -950,7 +929,7 @@ impl<const L: usize> DcLaneStream<L> {
             }
             meta.d += 1;
             let probe = if unanchored {
-                if fused && meta.d < meta.m {
+                if meta.d < meta.m {
                     // The accumulator ANDs over the full allocated
                     // width, but an active lane's padding positions
                     // idle at `boundary_state(d)`, whose MSB stays set
@@ -958,9 +937,9 @@ impl<const L: usize> DcLaneStream<L> {
                     // exactly with the exact-width scan.
                     acc[lane]
                 } else {
-                    // Unfused baseline, or the fused stream's `d >= m`
-                    // exactness fallback (padding MSBs have gone
-                    // clear): scan the lane's exact-width column.
+                    // The `d >= m` exactness fallback (padding MSBs
+                    // have gone clear): scan the lane's exact-width
+                    // column.
                     scan_ops += meta.n as u64;
                     let mut lane_acc = u64::MAX;
                     for row in self.prev[..meta.n].iter() {
@@ -2252,14 +2231,14 @@ mod tests {
     /// refilling each lane the moment it resolves, checking every
     /// outcome against the scalar
     /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into);
-    /// returns the stream's `(rows_issued, scan_ops)` for the drain.
+    /// returns the stream's scan-op total for the drain.
     // The drain loop indexes `resolved` while the feed macro mutates
     // lane state; range loops are the clearest shape for that.
     #[allow(clippy::needless_range_loop)]
     fn drain_occurrence_stream<const L: usize>(
         stream: &mut DcLaneStream<L>,
         windows: &[(Vec<u8>, Vec<u8>, usize)],
-    ) -> (u64, u64) {
+    ) -> u64 {
         let mut next = 0usize;
         let mut loaded: [Option<usize>; L] = [None; L];
         let mut resolved = Vec::new();
@@ -2312,28 +2291,37 @@ mod tests {
             }
         }
         assert_eq!(next, windows.len(), "every window must be drained");
-        let (issued, _) = stream.take_row_counters();
-        (issued, stream.take_scan_ops())
+        stream.take_scan_ops()
+    }
+
+    /// Scalar column-scan operations an unanchored stream must perform
+    /// on `windows`: the fused hit test answers every probe below depth
+    /// `m`, and a lane probed at `d = m` (where every position hits, so
+    /// it resolves) scans its `n` positions once.
+    fn fallback_scan_ops(windows: &[(Vec<u8>, Vec<u8>, usize)]) -> u64 {
+        let mut arena = DcArena::new();
+        windows
+            .iter()
+            .filter(|(text, pattern, k_max)| {
+                let scalar =
+                    crate::dc::occurrence_distance_into::<Dna>(text, pattern, *k_max, &mut arena);
+                matches!(scalar, Ok(Some(d)) if d > 0 && d == pattern.len())
+            })
+            .map(|(text, _, _)| text.len() as u64)
+            .sum()
     }
 
     #[test]
-    fn fused_occurrence_stream_matches_unfused_and_scalar() {
-        let mut fused4 = DcLaneStream::<4>::occurrence_scan();
-        let mut unfused4 = DcLaneStream::<4>::occurrence_scan_unfused();
-        let mut fused16 = DcLaneStream::<16>::occurrence_scan();
+    fn fused_occurrence_stream_matches_scalar_and_scans_only_at_depth_m() {
+        let mut stream4 = DcLaneStream::<4>::occurrence_scan();
+        let mut stream16 = DcLaneStream::<16>::occurrence_scan();
         for seed in 1..8u64 {
             let windows = ragged_windows(31, seed * 0xA5A5);
-            let (fused_issued, fused_scans) = drain_occurrence_stream(&mut fused4, &windows);
-            let (unfused_issued, unfused_scans) = drain_occurrence_stream(&mut unfused4, &windows);
-            drain_occurrence_stream(&mut fused16, &windows);
-            // Fusion changes where the probe reads from, never the
-            // stepping: identical rows at strictly fewer scalar scans.
-            assert_eq!(fused_issued, unfused_issued, "seed={seed}");
-            assert!(unfused_scans > 0, "unfused streams scan every probe");
-            assert!(
-                fused_scans < unfused_scans,
-                "fused {fused_scans} must undercut unfused {unfused_scans} (seed={seed})"
-            );
+            let want = fallback_scan_ops(&windows);
+            let scans4 = drain_occurrence_stream(&mut stream4, &windows);
+            let scans16 = drain_occurrence_stream(&mut stream16, &windows);
+            assert_eq!(scans4, want, "seed={seed}");
+            assert_eq!(scans16, want, "seed={seed}");
         }
     }
 

@@ -448,13 +448,16 @@ pub struct OccurrenceLaneJob<'a, A: Alphabet> {
     pub k: usize,
 }
 
-/// Reusable rolling rows and gathered text masks of
+/// Reusable row and gathered-text-mask buffers of
 /// [`occurrence_distance_lanes`]; grown on first use, recycled across
-/// groups and calls.
+/// groups and calls, so a warmed-up scratch allocates nothing per
+/// group.
 #[derive(Debug, Default)]
 pub struct OccurrenceLaneScratch {
-    prev: Vec<u64>,
-    cur: Vec<u64>,
+    /// The current level's row, lane-interleaved: each level is
+    /// computed in place over the previous one.
+    rows: Vec<u64>,
+    /// Pattern-mask words per text position, lane-interleaved.
     text_pm: Vec<u64>,
 }
 
@@ -491,6 +494,15 @@ struct OccurrenceLane {
 /// distance `d` pays `d + 1` recurrence rows instead of the flat
 /// filter's `k + 1` — the cascade's tier-1 saving.
 ///
+/// Each group runs one monomorphized kernel instance: the pattern
+/// word count (the group's widest pattern, `1..=16` up to
+/// [`MAX_WIDE_WINDOW`]) and the group width (`1..=4`) are compile-time
+/// constants, so every row cell is a fixed-size array the compiler
+/// keeps in registers. A level's hit test is a per-lane AND
+/// accumulator over its pattern's top word; only on a level where the
+/// accumulator shows a hit does one locate pass find the highest
+/// hit position (see `occurrence_kernel`).
+///
 /// Row-slot accounting follows the
 /// [`ScanMetrics`](crate::bitap::ScanMetrics) convention: every
 /// `(level, text position)` step issues one slot per lane per pattern
@@ -499,8 +511,9 @@ struct OccurrenceLane {
 /// lanes as it holds, so per-read candidate lists shorter than
 /// [`OCCURRENCE_LANES`] pay no phantom-lane padding. A slot is useful
 /// when its lane held a loaded, still-undecided candidate at a real
-/// text position (`words` of the lane's own pattern). Error
-/// candidates contribute nothing.
+/// text position (`words` of the lane's own pattern), up to and
+/// including the position that decides it. Error candidates
+/// contribute nothing.
 ///
 /// Per-candidate results — including error cases — are independent of
 /// how candidates are grouped into lanes.
@@ -524,25 +537,21 @@ pub fn occurrence_distance_lanes<A: Alphabet>(
         .collect()
 }
 
-/// One lock-step group of [`occurrence_distance_lanes`].
+/// One lock-step group of [`occurrence_distance_lanes`]: validates and
+/// gathers the lanes, then dispatches to the kernel instance for the
+/// group's word count and width.
 fn occurrence_group<A: Alphabet>(
     group: &[OccurrenceLaneJob<'_, A>],
     results: &mut [Option<Result<Option<usize>, AlignError>>],
     scratch: &mut OccurrenceLaneScratch,
     metrics: &mut ScanMetrics,
 ) {
-    const L: usize = OCCURRENCE_LANES;
-    // Execute only as many lanes as the group holds: the interleaved
-    // layout strides by the group width, so a 1-candidate group costs
-    // one lane's slots, not a constant four.
-    let glen = group.len().min(L);
-    let mut lanes = [OccurrenceLane::default(); L];
+    let mut lanes = [OccurrenceLane::default(); OCCURRENCE_LANES];
 
     // Validate and measure. Error lanes resolve immediately and stay
     // unloaded; their slots idle on all-ones padding.
     let mut n_max = 0usize;
     let mut words_max = 0usize;
-    let mut k_rows = 0usize;
     for (lane, job) in group.iter().enumerate() {
         let m = job.pattern.len();
         if m == 0 {
@@ -557,57 +566,44 @@ fn occurrence_group<A: Alphabet>(
             results[lane] = Some(Err(AlignError::EmptyText));
             continue;
         }
-        let state = &mut lanes[lane];
-        state.loaded = true;
-        state.n = job.text.len();
-        state.words = m.div_ceil(64);
-        state.k = job.k.min(m);
-        state.msb_word = (m - 1) / 64;
-        state.msb_bit = ((m - 1) % 64) as u32;
-        n_max = n_max.max(state.n);
-        words_max = words_max.max(state.words);
-        k_rows = k_rows.max(state.k);
-    }
-    if !lanes.iter().any(|l| l.loaded) {
-        return;
+        lanes[lane] = OccurrenceLane {
+            loaded: true,
+            decided: false,
+            n: job.text.len(),
+            words: m.div_ceil(64),
+            k: job.k.min(m),
+            msb_word: (m - 1) / 64,
+            msb_bit: ((m - 1) % 64) as u32,
+        };
+        n_max = n_max.max(job.text.len());
+        words_max = words_max.max(m.div_ceil(64));
     }
 
-    // Gather text masks into lane-interleaved words. Unloaded slots,
-    // positions past a lane's text, and words past a lane's pattern
-    // keep the all-ones match-nothing mask: the recurrence then holds
-    // such cells at the `ones << d` boundary state (shifts only move
-    // bits upward and every combine is an AND), so padding is inert.
-    let lane_stride = words_max * glen;
+    // Gather text masks into lane-interleaved words: position `i`,
+    // word `w`, lane `l` at `(i * words_max + w) * glen + l`. Unloaded
+    // slots, positions past a lane's text, and words past a lane's
+    // pattern keep the all-ones match-nothing mask: the recurrence
+    // then holds such cells at the `ones << d` boundary state (shifts
+    // only move bits upward and every combine is an AND), so padding
+    // is inert. A lane that hits an invalid byte is unloaded; its
+    // partial gather is harmless because lanes never mix.
+    let glen = group.len();
+    let stride = words_max * glen;
     scratch.text_pm.clear();
-    scratch.text_pm.resize(n_max * lane_stride, u64::MAX);
+    scratch.text_pm.resize(n_max * stride, u64::MAX);
     for (lane, job) in group.iter().enumerate() {
         if !lanes[lane].loaded {
             continue;
         }
-        let mut ok = true;
-        for (i, &byte) in job.text.iter().enumerate() {
-            match job.pattern.mask(byte) {
-                Some(mask) => {
-                    for (w, &word) in mask.as_words().iter().enumerate() {
-                        scratch.text_pm[i * lane_stride + w * glen + lane] = word;
-                    }
-                }
-                None => {
-                    results[lane] = Some(Err(AlignError::InvalidSymbol { pos: i, byte }));
-                    lanes[lane].loaded = false;
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            // Re-pad whatever the partial gather wrote.
-            for slot in scratch.text_pm[..job.text.len() * lane_stride]
-                .iter_mut()
-                .skip(lane)
-                .step_by(glen)
-            {
-                *slot = u64::MAX;
+        let cells = scratch.text_pm.chunks_exact_mut(stride);
+        for (i, (cell, &byte)) in cells.zip(job.text).enumerate() {
+            let Some(mask) = job.pattern.mask(byte) else {
+                results[lane] = Some(Err(AlignError::InvalidSymbol { pos: i, byte }));
+                lanes[lane].loaded = false;
+                break;
+            };
+            for (slot, &word) in cell[lane..].iter_mut().step_by(glen).zip(mask.as_words()) {
+                *slot = word;
             }
         }
     }
@@ -615,113 +611,204 @@ fn occurrence_group<A: Alphabet>(
         return;
     }
 
-    scratch.prev.clear();
-    scratch.prev.resize(n_max * lane_stride, 0);
-    scratch.cur.clear();
-    scratch.cur.resize(n_max * lane_stride, 0);
-    let prev = &mut scratch.prev;
-    let cur = &mut scratch.cur;
+    macro_rules! kernel_for_width {
+        ($w:literal) => {
+            match glen {
+                1 => occurrence_kernel::<$w, 1>(n_max, &mut lanes, results, scratch, metrics),
+                2 => occurrence_kernel::<$w, 2>(n_max, &mut lanes, results, scratch, metrics),
+                3 => occurrence_kernel::<$w, 3>(n_max, &mut lanes, results, scratch, metrics),
+                _ => occurrence_kernel::<$w, 4>(n_max, &mut lanes, results, scratch, metrics),
+            }
+        };
+    }
+    const _: () = assert!(OCCURRENCE_LANES == 4 && MAX_WIDE_WINDOW == 16 * 64);
+    match words_max {
+        1 => kernel_for_width!(1),
+        2 => kernel_for_width!(2),
+        3 => kernel_for_width!(3),
+        4 => kernel_for_width!(4),
+        5 => kernel_for_width!(5),
+        6 => kernel_for_width!(6),
+        7 => kernel_for_width!(7),
+        8 => kernel_for_width!(8),
+        9 => kernel_for_width!(9),
+        10 => kernel_for_width!(10),
+        11 => kernel_for_width!(11),
+        12 => kernel_for_width!(12),
+        13 => kernel_for_width!(13),
+        14 => kernel_for_width!(14),
+        15 => kernel_for_width!(15),
+        _ => kernel_for_width!(16),
+    }
+}
 
-    let mut decide = |lane: usize, lanes: &mut [OccurrenceLane; L], outcome: Option<usize>| {
-        results[lane] = Some(Ok(outcome));
-        lanes[lane].decided = true;
-    };
+/// One row cell: word `w` of lane `l` at `[w][l]`.
+type Cell<const W: usize, const L: usize> = [[u64; L]; W];
 
-    // Fused hit test: each lane's sentinel word is captured in-flight
-    // while the word loop computes it, so the per-position probes below
-    // read one register-warm value per lane instead of re-gathering the
-    // strided `msb_word` slot from the row buffer.
-    let mut probe = [0u64; L];
+/// Loads one position's cell from a lane-interleaved buffer.
+#[inline(always)]
+fn load_cell<const W: usize, const L: usize>(words: &[u64]) -> Cell<W, L> {
+    std::array::from_fn(|w| std::array::from_fn(|l| words[w * L + l]))
+}
 
-    // Row 0: R[0][i] = (R[0][i+1] << 1) | PM, all-ones boundary at n.
-    {
-        let mut r = vec![u64::MAX; lane_stride];
-        for i in (0..n_max).rev() {
-            metrics.rows_issued += (glen * words_max) as u64;
-            let mut carry = [0u64; L];
-            for w in 0..words_max {
-                for (lane, c) in carry.iter_mut().enumerate().take(glen) {
-                    let slot = w * glen + lane;
-                    let old = r[slot];
-                    let shifted = (old << 1) | *c;
-                    *c = old >> 63;
-                    let word = shifted | scratch.text_pm[i * lane_stride + slot];
-                    r[slot] = word;
-                    if w == lanes[lane].msb_word {
-                        probe[lane] = word;
-                    }
+/// Stores one position's cell into a lane-interleaved buffer.
+#[inline(always)]
+fn store_cell<const W: usize, const L: usize>(cell: &Cell<W, L>, words: &mut [u64]) {
+    for (w, lanes) in cell.iter().enumerate() {
+        words[w * L..(w + 1) * L].copy_from_slice(lanes);
+    }
+}
+
+/// Every lane's multi-word value shifted left by one bit, carrying
+/// each word's top bit into the next word up.
+#[inline(always)]
+fn shl1_cell<const W: usize, const L: usize>(x: &Cell<W, L>) -> Cell<W, L> {
+    std::array::from_fn(|w| {
+        std::array::from_fn(|l| {
+            let carry = if w == 0 { 0 } else { x[w - 1][l] >> 63 };
+            (x[w][l] << 1) | carry
+        })
+    })
+}
+
+/// The row and text-mask cells of every position, last position
+/// first (the recurrence's direction).
+#[inline(always)]
+fn positions<'a>(
+    rows: &'a mut [u64],
+    text_pm: &'a [u64],
+    stride: usize,
+) -> impl Iterator<Item = (&'a mut [u64], &'a [u64])> {
+    rows.chunks_exact_mut(stride)
+        .rev()
+        .zip(text_pm.chunks_exact(stride).rev())
+}
+
+/// The boundary state `ones << d` of every lane (see [`boundary_word`]).
+#[inline(always)]
+fn boundary_cell<const W: usize, const L: usize>(d: usize) -> Cell<W, L> {
+    std::array::from_fn(|w| [boundary_word(d, w); L])
+}
+
+/// The tier-1 kernel for `W` pattern words and `L` lanes: Bitap
+/// iterative deepening, every level computed in place over the last.
+///
+/// Hit test: each level ANDs every position's top-word cell into a
+/// per-lane accumulator. For a lane whose pattern reaches the top word
+/// and `d < m`, the accumulator's pattern MSB is clear iff some real
+/// position hit (padding positions idle at `ones << d`, whose MSB is
+/// set below `m`); at `d = m` every position hits, and the locate pass
+/// lands on the lane's last real position. A lane with a shorter
+/// pattern than the group's widest has its MSB in a lower word, which
+/// the accumulator does not see, so it is located on every level.
+/// The locate pass scans the stored row down from the lane's last real
+/// position and stops at the first hit — the same position the
+/// per-position probe of a scalar scan would stop at, so `rows_useful`
+/// stays exact.
+#[inline(never)]
+fn occurrence_kernel<const W: usize, const L: usize>(
+    n_max: usize,
+    lanes: &mut [OccurrenceLane; OCCURRENCE_LANES],
+    results: &mut [Option<Result<Option<usize>, AlignError>>],
+    scratch: &mut OccurrenceLaneScratch,
+    metrics: &mut ScanMetrics,
+) {
+    let stride = W * L;
+    let text_pm = &scratch.text_pm[..n_max * stride];
+    // Row 0 overwrites every cell, so the buffer is only ever grown.
+    if scratch.rows.len() < n_max * stride {
+        scratch.rows.resize(n_max * stride, 0);
+    }
+    let rows = &mut scratch.rows[..n_max * stride];
+    let k_rows = lanes[..L]
+        .iter()
+        .filter(|l| l.loaded)
+        .map(|l| l.k)
+        .max()
+        .unwrap_or(0);
+
+    for d in 0..=k_rows {
+        if d > 0 {
+            for (lane, state) in lanes[..L].iter_mut().enumerate() {
+                if state.loaded && !state.decided && state.k < d {
+                    results[lane] = Some(Ok(None));
+                    state.decided = true;
                 }
             }
-            prev[i * lane_stride..(i + 1) * lane_stride].copy_from_slice(&r);
-            for lane in 0..glen {
-                let state = lanes[lane];
-                if state.loaded && !state.decided && i < state.n {
-                    metrics.rows_useful += state.words as u64;
-                    if probe[lane] >> state.msb_bit & 1 == 0 {
-                        decide(lane, &mut lanes, Some(0));
-                    }
+            if lanes[..L].iter().all(|l| !l.loaded || l.decided) {
+                return;
+            }
+        }
+
+        let mut acc = [u64::MAX; L];
+        if d == 0 {
+            // R[0][i] = (R[0][i+1] << 1) | PM, all-ones boundary at n.
+            let mut r: Cell<W, L> = [[u64::MAX; L]; W];
+            for (row, pm) in positions(rows, text_pm, stride) {
+                let pm = load_cell::<W, L>(pm);
+                let shifted = shl1_cell(&r);
+                r = std::array::from_fn(|w| std::array::from_fn(|l| shifted[w][l] | pm[w][l]));
+                store_cell(&r, row);
+                for l in 0..L {
+                    acc[l] &= r[W - 1][l];
                 }
+            }
+        } else {
+            // R[d][i] = D & S & I & M over R[d-1] (the stored row, read
+            // just before it is overwritten) and R[d][i+1] (`next`):
+            //   deletion     D = R[d-1][i+1]
+            //   substitution S = R[d-1][i+1] << 1
+            //   insertion    I = R[d-1][i] << 1
+            //   match        M = (R[d][i+1] << 1) | PM
+            // Position i's insertion term is position i-1's
+            // substitution term, so each cell shifts two inputs.
+            let mut del: Cell<W, L> = boundary_cell(d - 1);
+            let mut sub = shl1_cell(&del);
+            let mut next: Cell<W, L> = boundary_cell(d);
+            for (row, pm) in positions(rows, text_pm, stride) {
+                let pm = load_cell::<W, L>(pm);
+                let above = load_cell::<W, L>(row);
+                let ins = shl1_cell(&above);
+                let mat = shl1_cell(&next);
+                next = std::array::from_fn(|w| {
+                    std::array::from_fn(|l| {
+                        del[w][l] & sub[w][l] & ins[w][l] & (mat[w][l] | pm[w][l])
+                    })
+                });
+                store_cell(&next, row);
+                for l in 0..L {
+                    acc[l] &= next[W - 1][l];
+                }
+                del = above;
+                sub = ins;
+            }
+        }
+        metrics.rows_issued += (n_max * stride) as u64;
+
+        for (lane, state) in lanes[..L].iter_mut().enumerate() {
+            if !state.loaded || state.decided {
+                continue;
+            }
+            let maybe_hit = state.msb_word != W - 1 || acc[lane] >> state.msb_bit & 1 == 0;
+            let column = state.msb_word * L + lane;
+            let hit = if maybe_hit {
+                (0..state.n)
+                    .rev()
+                    .find(|&i| rows[i * stride + column] >> state.msb_bit & 1 == 0)
+            } else {
+                None
+            };
+            let scanned = hit.map_or(state.n, |i| state.n - i);
+            metrics.rows_useful += (scanned * state.words) as u64;
+            if hit.is_some() {
+                results[lane] = Some(Ok(Some(d)));
+                state.decided = true;
             }
         }
     }
-
-    for d in 1..=k_rows {
-        for lane in 0..glen {
-            if lanes[lane].loaded && !lanes[lane].decided && lanes[lane].k < d {
-                decide(lane, &mut lanes, None);
-            }
-        }
-        if lanes.iter().all(|l| !l.loaded || l.decided) {
-            break;
-        }
-        for i in (0..n_max).rev() {
-            metrics.rows_issued += (glen * words_max) as u64;
-            let next = (i + 1 < n_max).then_some((i + 1) * lane_stride);
-            let mut del_carry = [0u64; L];
-            let mut ins_carry = [0u64; L];
-            let mut mat_carry = [0u64; L];
-            for w in 0..words_max {
-                let boundary_dm1 = boundary_word(d - 1, w);
-                let boundary_d = boundary_word(d, w);
-                for lane in 0..glen {
-                    let slot = w * glen + lane;
-                    let del = match next {
-                        Some(base) => prev[base + slot],
-                        None => boundary_dm1,
-                    };
-                    let ins_src = prev[i * lane_stride + slot];
-                    let rn = match next {
-                        Some(base) => cur[base + slot],
-                        None => boundary_d,
-                    };
-                    let sub = (del << 1) | del_carry[lane];
-                    del_carry[lane] = del >> 63;
-                    let ins = (ins_src << 1) | ins_carry[lane];
-                    ins_carry[lane] = ins_src >> 63;
-                    let mat = (rn << 1) | mat_carry[lane] | scratch.text_pm[i * lane_stride + slot];
-                    mat_carry[lane] = rn >> 63;
-                    let word = del & sub & ins & mat;
-                    cur[i * lane_stride + slot] = word;
-                    if w == lanes[lane].msb_word {
-                        probe[lane] = word;
-                    }
-                }
-            }
-            for lane in 0..glen {
-                let state = lanes[lane];
-                if state.loaded && !state.decided && i < state.n {
-                    metrics.rows_useful += state.words as u64;
-                    if probe[lane] >> state.msb_bit & 1 == 0 {
-                        decide(lane, &mut lanes, Some(d));
-                    }
-                }
-            }
-        }
-        std::mem::swap(prev, cur);
-    }
-    for lane in 0..glen {
-        if lanes[lane].loaded && !lanes[lane].decided {
-            decide(lane, &mut lanes, None);
+    for (lane, state) in lanes[..L].iter_mut().enumerate() {
+        if state.loaded && !state.decided {
+            results[lane] = Some(Ok(None));
         }
     }
 }
@@ -939,6 +1026,51 @@ mod tests {
                 }
                 assert!(metrics.rows_issued >= metrics.rows_useful);
                 assert!(metrics.rows_useful > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn occurrence_lanes_cover_every_kernel_instance() {
+        // Every (word count, group width) pair the dispatcher can pick:
+        // lane `l` holds the pattern behind `l` random bases, with `l`
+        // substitutions, so the lanes resolve at different levels.
+        use crate::bitap::find_best;
+        let mut scratch = OccurrenceLaneScratch::new();
+        for words in 1..=MAX_WIDE_WINDOW / 64 {
+            let m = words * 64 - 5 * (words % 3);
+            for width in 1..=OCCURRENCE_LANES {
+                let seed = (words * 8 + width) as u64;
+                let read = dna(m, seed);
+                let pm = PatternBitmasks::<Dna>::new(&read).unwrap();
+                let windows: Vec<Vec<u8>> = (0..width)
+                    .map(|lane| {
+                        let mut window = dna(lane, seed * 3 + lane as u64);
+                        let start = window.len();
+                        window.extend_from_slice(&read);
+                        for e in 0..lane {
+                            let at = start + (e * 37 + 11) % m;
+                            window[at] = if window[at] == b'A' { b'C' } else { b'A' };
+                        }
+                        window
+                    })
+                    .collect();
+                let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = windows
+                    .iter()
+                    .map(|text| OccurrenceLaneJob {
+                        text,
+                        pattern: &pm,
+                        k: 2,
+                    })
+                    .collect();
+                let mut metrics = ScanMetrics::default();
+                let got = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut metrics);
+                for (window, outcome) in windows.iter().zip(&got) {
+                    let want = find_best::<Dna>(window, &read, 2)
+                        .unwrap()
+                        .map(|best| best.distance);
+                    assert_eq!(outcome, &Ok(want), "words={words} width={width}");
+                }
             }
         }
     }

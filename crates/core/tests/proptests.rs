@@ -419,11 +419,11 @@ type Occurrence = Result<Option<usize>, AlignError>;
 
 /// Streams `windows` through an occurrence-mode lane stream in
 /// submission order and returns the per-window outcomes plus the
-/// stream's `(rows_issued, rows_useful)` and scan-op totals.
+/// stream's scan-op total.
 fn run_occurrence_stream<const L: usize>(
     stream: &mut DcLaneStream<L>,
     windows: &[(Vec<u8>, Vec<u8>, usize)],
-) -> (Vec<Occurrence>, (u64, u64), u64) {
+) -> (Vec<Occurrence>, u64) {
     let mut outcomes: Vec<Option<Occurrence>> = vec![None; windows.len()];
     let mut next = 0usize;
     let mut loaded = [usize::MAX; L];
@@ -469,14 +469,12 @@ fn run_occurrence_stream<const L: usize>(
             feed(stream, lane, windows, &mut outcomes, &mut next, &mut loaded);
         }
     }
-    let rows = stream.take_row_counters();
     let ops = stream.take_scan_ops();
     (
         outcomes
             .into_iter()
             .map(|o| o.expect("every window drains"))
             .collect(),
-        rows,
         ops,
     )
 }
@@ -527,16 +525,14 @@ proptest! {
         prop_assert_eq!(arena.outcomes(), fast.outcomes());
     }
 
-    /// The fused occurrence hit test answers every probe the unfused
-    /// baseline answers, with the identical outcome: both streams match
-    /// the scalar occurrence kernel window for window, issue the same
-    /// row slots (fusion changes how a probe is answered, never the
-    /// walk schedule), and the fused stream never scans more column
-    /// positions than the baseline. The k range deliberately crosses
-    /// `k >= m` so the `d >= m` exact-scan fallback is exercised. Runs
-    /// at 4 and 16 lanes.
+    /// The fused occurrence hit test matches the scalar occurrence
+    /// kernel window for window, at 4 and 16 lanes, and scans a lane's
+    /// column only in the `d >= m` exactness fallback: the scan-op
+    /// total is exactly `n` for each window that resolves at `d = m`
+    /// and 0 for every other. The k range deliberately crosses
+    /// `k >= m` so the fallback is exercised.
     #[test]
-    fn fused_occurrence_hit_test_matches_scalar_and_unfused(
+    fn fused_occurrence_hit_test_matches_scalar(
         windows in proptest::collection::vec(
             (dna_seq(48), dna_seq(24), 0usize..32),
             1..=20,
@@ -547,24 +543,22 @@ proptest! {
             .iter()
             .map(|(t, p, k)| occurrence_distance_into::<Dna>(t, p, *k, &mut scalar_arena))
             .collect();
+        let fallback_ops: u64 = windows
+            .iter()
+            .zip(&scalar)
+            .filter(|((_, p, _), outcome)| matches!(outcome, Ok(Some(d)) if *d == p.len()))
+            .map(|((t, _, _), _)| t.len() as u64)
+            .sum();
 
         let mut fused4 = DcLaneStream::<4>::occurrence_scan();
-        let (out_f4, rows_f4, ops_f4) = run_occurrence_stream(&mut fused4, &windows);
-        let mut unfused4 = DcLaneStream::<4>::occurrence_scan_unfused();
-        let (out_u4, rows_u4, ops_u4) = run_occurrence_stream(&mut unfused4, &windows);
+        let (out_f4, ops_f4) = run_occurrence_stream(&mut fused4, &windows);
         prop_assert_eq!(&out_f4, &scalar, "fused x4 vs scalar");
-        prop_assert_eq!(&out_u4, &scalar, "unfused x4 vs scalar");
-        prop_assert_eq!(rows_f4, rows_u4, "fusion must not change the x4 walk schedule");
-        prop_assert!(ops_f4 <= ops_u4, "fused x4 scanned more: {} > {}", ops_f4, ops_u4);
+        prop_assert_eq!(ops_f4, fallback_ops, "x4 scanned outside the d >= m fallback");
 
         let mut fused16 = DcLaneStream::<16>::occurrence_scan();
-        let (out_f16, rows_f16, ops_f16) = run_occurrence_stream(&mut fused16, &windows);
-        let mut unfused16 = DcLaneStream::<16>::occurrence_scan_unfused();
-        let (out_u16, rows_u16, ops_u16) = run_occurrence_stream(&mut unfused16, &windows);
+        let (out_f16, ops_f16) = run_occurrence_stream(&mut fused16, &windows);
         prop_assert_eq!(&out_f16, &scalar, "fused x16 vs scalar");
-        prop_assert_eq!(&out_u16, &scalar, "unfused x16 vs scalar");
-        prop_assert_eq!(rows_f16, rows_u16, "fusion must not change the x16 walk schedule");
-        prop_assert!(ops_f16 <= ops_u16, "fused x16 scanned more: {} > {}", ops_f16, ops_u16);
+        prop_assert_eq!(ops_f16, fallback_ops, "x16 scanned outside the d >= m fallback");
     }
 }
 
@@ -574,7 +568,10 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use genasm_core::cascade::{dna_codes_into, tier0_rejects, CascadePattern, Tier0Scratch};
-use genasm_core::dc_wide::{occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch};
+use genasm_core::dc_wide::{
+    occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch, OCCURRENCE_LANES,
+};
+use genasm_core::pattern::PatternBitmasks;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
@@ -643,5 +640,179 @@ proptest! {
             );
             prop_assert_eq!(solo[0].as_ref().unwrap(), bound, "idx {}: grouping changed the result", idx);
         }
+        let lanes: Vec<Tier1Lane> = pairs_in.iter().map(|(t, p)| (t.clone(), p.clone(), k)).collect();
+        prop_assert_eq!(
+            (metrics.rows_issued, metrics.rows_useful),
+            tier1_expected_rows(&lanes),
+            "row counters differ from the analytic count"
+        );
+    }
+}
+
+/// One tier-1 candidate: `(text, pattern, k)`.
+type Tier1Lane = (Vec<u8>, Vec<u8>, usize);
+
+/// The `(rows_issued, rows_useful)` that
+/// [`occurrence_distance_lanes`] must report for `lanes`, derived from
+/// the scalar [`bitap::find_all`] alone. Lanes run in groups of
+/// [`OCCURRENCE_LANES`]; a group runs one level per distance up to the
+/// deepest level any loaded lane needs, and every level issues
+/// `n_max × group width × words_max` slots, where `n_max` and
+/// `words_max` cover every lane that passed the length checks (an
+/// invalid-byte lane is measured, then never run). A lane resolving at
+/// distance `d` is useful over `d` full levels plus its deciding level
+/// down to the highest position that matches within `d`; a lane that
+/// never resolves is useful over `min(k, m) + 1` full levels.
+fn tier1_expected_rows(lanes: &[Tier1Lane]) -> (u64, u64) {
+    let (mut issued, mut useful) = (0usize, 0usize);
+    for group in lanes.chunks(OCCURRENCE_LANES) {
+        let (mut n_max, mut words_max, mut levels) = (0usize, 0usize, 0usize);
+        for (text, pattern, k) in group {
+            if text.is_empty() {
+                continue;
+            }
+            let (n, words) = (text.len(), pattern.len().div_ceil(64));
+            n_max = n_max.max(n);
+            words_max = words_max.max(words);
+            let Ok(matches) = bitap::find_all::<Dna>(text, pattern, *k) else {
+                continue;
+            };
+            let deepest = match matches.iter().map(|m| m.distance).min() {
+                Some(best) => {
+                    let decider = matches
+                        .iter()
+                        .filter(|m| m.distance == best)
+                        .map(|m| m.position)
+                        .max()
+                        .expect("the best distance has a position");
+                    useful += (best * n + (n - decider)) * words;
+                    best
+                }
+                None => {
+                    let k = (*k).min(pattern.len());
+                    useful += (k + 1) * n * words;
+                    k
+                }
+            };
+            levels = levels.max(deepest + 1);
+        }
+        issued += levels * n_max * group.len() * words_max;
+    }
+    (issued as u64, useful as u64)
+}
+
+/// A tier-1 candidate drawn from `seed`: a pattern of `words` 64-bit
+/// words' worth of characters (1..=1024), a text of uneven length —
+/// a mutated copy of the pattern between random flanks, or unrelated
+/// sequence — and a threshold. Half the one-word lanes get a short
+/// pattern and a threshold past `m`; half of those get a text sharing
+/// no symbol with the pattern, so the scan runs to the `d = m` level,
+/// where every position hits. About one lane in eight has an empty
+/// text and one in eight an invalid byte.
+fn tier1_lane(words: usize, seed: u64) -> Tier1Lane {
+    let mut state = seed | 1;
+    let mut next = move |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let past_m = words == 1 && next(2) == 0;
+    let m = if past_m {
+        1 + next(24)
+    } else {
+        (words - 1) * 64 + 1 + next(64)
+    };
+    let disjoint = past_m && next(2) == 0;
+    let pattern: Vec<u8> = (0..m)
+        .map(|_| {
+            if disjoint {
+                b"AC"[next(2)]
+            } else {
+                b"ACGT"[next(4)]
+            }
+        })
+        .collect();
+    let k = if past_m { m + next(3) } else { next(25) };
+    let kind = next(8);
+    let mut text: Vec<u8> = match kind {
+        0 => return (Vec::new(), pattern, k),
+        _ if disjoint => (0..1 + next(m + 40)).map(|_| b"GT"[next(2)]).collect(),
+        1 | 2 => (0..m / 2 + next(m + 40))
+            .map(|_| b"ACGT"[next(4)])
+            .collect(),
+        _ => {
+            let rate = next(9);
+            let mut text: Vec<u8> = (0..next(40)).map(|_| b"ACGT"[next(4)]).collect();
+            for &c in &pattern {
+                match next(100) {
+                    r if r < rate => text.push(b"ACGT"[next(4)]),
+                    r if r < rate + rate / 2 => {}
+                    r if r < 2 * rate => text.extend([c, b"ACGT"[next(4)]]),
+                    _ => text.push(c),
+                }
+            }
+            text.extend((0..next(40)).map(|_| b"ACGT"[next(4)]));
+            text
+        }
+    };
+    if text.is_empty() {
+        text.push(b"ACGT"[next(4)]);
+    }
+    if kind == 7 {
+        let at = next(text.len());
+        text[at] = b'N';
+    }
+    (text, pattern, k)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The tier-1 kernel over every pattern word count (1..=16) and
+    /// group width, with mixed pattern lengths, uneven texts,
+    /// thresholds past `m`, and error lanes among valid ones: each
+    /// lane's outcome equals the scalar oracle's (`find_best`'s best
+    /// distance, or the scalar scans' input error), grouping never
+    /// changes it, and the row counters equal the analytic count.
+    #[test]
+    fn cascade_tier1_wide_mixed_groups_match_oracle_and_row_count(
+        specs in proptest::collection::vec((1usize..=16, any::<u64>()), 1..=9),
+    ) {
+        let lanes: Vec<Tier1Lane> = specs.iter().map(|&(w, seed)| tier1_lane(w, seed)).collect();
+        let masks: Vec<PatternBitmasks<Dna>> = lanes
+            .iter()
+            .map(|(_, p, _)| PatternBitmasks::new(p).unwrap())
+            .collect();
+        let jobs: Vec<OccurrenceLaneJob<'_, Dna>> = lanes
+            .iter()
+            .zip(&masks)
+            .map(|((text, _, k), pattern)| OccurrenceLaneJob { text, pattern, k: *k })
+            .collect();
+        let mut scratch = OccurrenceLaneScratch::new();
+        let mut metrics = bitap::ScanMetrics::default();
+        let batched = occurrence_distance_lanes::<Dna>(&jobs, &mut scratch, &mut metrics);
+        for (idx, ((text, pattern, k), got)) in lanes.iter().zip(&batched).enumerate() {
+            let want = if text.is_empty() {
+                Err(AlignError::EmptyText)
+            } else {
+                bitap::find_best::<Dna>(text, pattern, *k).map(|best| best.map(|b| b.distance))
+            };
+            prop_assert_eq!(
+                got, &want,
+                "idx {}: m={} n={} k={}", idx, pattern.len(), text.len(), k
+            );
+            let solo = occurrence_distance_lanes::<Dna>(
+                &jobs[idx..idx + 1],
+                &mut scratch,
+                &mut bitap::ScanMetrics::default(),
+            );
+            prop_assert_eq!(&solo[0], got, "idx {}: grouping changed the result", idx);
+        }
+        prop_assert_eq!(
+            (metrics.rows_issued, metrics.rows_useful),
+            tier1_expected_rows(&lanes),
+            "row counters differ from the analytic count"
+        );
     }
 }

@@ -284,7 +284,13 @@ impl Server {
     }
 
     fn finish(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
+        {
+            // Set under the `pending` lock: the batcher reads `draining`
+            // and parks while holding it, so it either sees the flag or
+            // is already waiting when the notification below fires.
+            let _pending = lock(&self.shared.pending);
+            self.shared.draining.store(true, Ordering::Release);
+        }
         self.shared.pending_cv.notify_all();
         if let Some(batcher) = self.batcher.take() {
             let _ = batcher.join();

@@ -231,6 +231,31 @@ fn drain_answers_every_admitted_read() {
     assert!(responses.iter().all(|r| !r.is_degraded()));
 }
 
+/// Draining a server straight after `start`, before it has served
+/// anything, must never hang: the batcher may be anywhere between
+/// checking the drain flag and parking on its condition variable when
+/// the drain begins. Many idle start→drain cycles, under a watchdog.
+#[test]
+fn idle_start_drain_cycles_never_hang() {
+    const CYCLES: usize = 240;
+    let (genome, _) = fixture();
+    let mapper = ReadMapper::build(genome.sequence(), MapperConfig::default());
+    let engine = mapper.engine(1, DcDispatch::default());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for _ in 0..CYCLES {
+            Server::start(mapper.clone(), engine.clone(), ServeConfig::default()).drain();
+        }
+        let _ = done_tx.send(());
+    });
+    // A hung cycle leaves its thread detached: the watchdog fails the
+    // test instead of blocking the suite on a join.
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a start→drain cycle hung");
+    cycles.join().expect("the cycle thread finished cleanly");
+}
+
 /// A `Write` target that can be inspected from outside the sink.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);

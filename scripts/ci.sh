@@ -38,13 +38,13 @@ echo "==> cargo test -q (mapper identity suites, portable fallback)"
 cargo test -p genasm-mapper --no-default-features -q \
     --test batch_identity --test index_identity --test two_phase --test sam_identity
 
-echo "==> 16-lane + fused hit-test kernel paths (default and portable fallback)"
-# The wide-lane and fused-accumulator properties must hold on both the
-# explicit SIMD build and the portable fallback (where every width
-# runs the plain lane loop) — see docs/KERNELS.md.
-cargo test -p genasm-core -q --test proptests -- sixteen_lane fused_occurrence
+echo "==> 16-lane, fused hit-test and tier-1 kernel paths (default and portable fallback)"
+# The wide-lane, fused-accumulator and tier-1 occurrence properties
+# must hold on both the explicit SIMD build and the portable fallback
+# (where every width runs the plain lane loop) — see docs/KERNELS.md.
+cargo test -p genasm-core -q --test proptests -- sixteen_lane fused_occurrence cascade_tier1
 cargo test -p genasm-core --no-default-features -q --test proptests -- \
-    sixteen_lane fused_occurrence
+    sixteen_lane fused_occurrence cascade_tier1
 
 echo "==> chaos suites (--features chaos: deterministic fault injection)"
 # The workspace build above is the proof the default build carries no
@@ -122,14 +122,21 @@ target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_read
 cmp -s "$tracedir/ab_cascade.sam" "$tracedir/ab_legacy.sam" \
     || { echo "cascade and legacy SAM outputs differ" >&2; exit 1; }
 filter_rows() {
-    sed -n 's/.*"map.filter_rows_issued": \([0-9][0-9]*\).*/\1/p' "$1"
+    sed -n "s/.*\"map.filter_rows_$2\": \\([0-9][0-9]*\\).*/\\1/p" "$1"
 }
-cascade_rows=$(filter_rows "$tracedir/ab_cascade.json")
-legacy_rows=$(filter_rows "$tracedir/ab_legacy.json")
-[[ -n "$cascade_rows" && -n "$legacy_rows" ]] \
-    || { echo "missing map.filter_rows_issued in metrics json" >&2; exit 1; }
+cascade_rows=$(filter_rows "$tracedir/ab_cascade.json" issued)
+cascade_useful=$(filter_rows "$tracedir/ab_cascade.json" useful)
+legacy_rows=$(filter_rows "$tracedir/ab_legacy.json" issued)
+[[ -n "$cascade_rows" && -n "$cascade_useful" && -n "$legacy_rows" ]] \
+    || { echo "missing map.filter_rows_* in metrics json" >&2; exit 1; }
 [[ "$legacy_rows" -ge $((3 * cascade_rows)) ]] \
     || { echo "cascade must cut filter rows >=3x: legacy $legacy_rows vs cascade $cascade_rows" >&2; exit 1; }
+# The exact row walk of this seed-11 input: a filter-kernel change that
+# reorders or re-counts rows fails here even when the SAM is unchanged.
+# Change these figures only with a change meant to alter the walk.
+[[ "$cascade_rows" -eq 878535 && "$cascade_useful" -eq 878442 ]] \
+    || { echo "cascade filter rows moved: issued $cascade_rows (want 878535)," \
+              "useful $cascade_useful (want 878442)" >&2; exit 1; }
 for field in map.filter.tier0_rejects map.filter.tier0_probes map.filter.tier1_rejects \
              map.filter.cascade_accepts map.filter.cascade_fallbacks \
              map.filter.bound_reuse_hits; do
@@ -194,7 +201,7 @@ check_bench_fields BENCH_dc_multi.json \
     speedup_vs_chunked rows_issued rows_vs_flat filter_threshold \
     tb_rows distance_secs job_latency_p50_us job_latency_p99_us \
     simd_level simd_level_rank auto_lanes_full auto_lanes_distance \
-    kernel_fused_hit_test fused_scan_ops unfused_scan_ops scan_ops_vs_unfused \
+    kernel_fused_hit_test fused_scan_ops fallback_scan_ops \
     per_claim_occupancy cross_claim_occupancy cross_claim
 check_bench_fields BENCH_map.json \
     pipeline reads_per_sec occupancy seed_seconds filter_seconds align_seconds \
