@@ -1,11 +1,9 @@
 //! Lock-step multi-window DC kernel throughput: scalar vs lock-step at
-//! 1/4/8/16 lanes, full vs distance-only mode, chunked vs
-//! persistent-lane scheduling (with lane occupancy), the fused
-//! occurrence hit-test, and the end-to-end engine effect (scalar vs
-//! chunked vs persistent dispatch at one worker — with and without
-//! cross-claim lane persistence — each with its full-alignment vs
-//! distance-only-scan A/B, the two halves of the mapper's two-phase
-//! execution model).
+//! 1/4/8/16 lanes (with lane occupancy), full vs distance-only mode,
+//! the fused occurrence hit-test, the filter's occurrence lanes, and
+//! the end-to-end engine effect (scalar vs lock-step dispatch at one
+//! worker, each with its full-alignment vs distance-only-scan A/B, the
+//! two halves of the mapper's two-phase execution model).
 //!
 //! Writes `BENCH_dc_multi.json` at the workspace root alongside
 //! `BENCH_engine.json`. Pass `--smoke` (as `scripts/ci.sh` does) for a
@@ -22,9 +20,10 @@ use genasm_core::dc_multi::{
     MultiLane,
 };
 use genasm_core::dc_wide::{occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch};
-use genasm_core::simd::{simd_level, SimdLevel};
+use genasm_core::simd::simd_level;
+use genasm_engine::lockstep::LANES;
 use genasm_engine::obs::JOB_LATENCY_HISTOGRAM;
-use genasm_engine::{DcDispatch, DistanceJob, Engine, EngineConfig, Job, LaneCount};
+use genasm_engine::{DcDispatch, DistanceJob, Engine, EngineConfig, Job};
 use genasm_obs::Telemetry;
 use genasm_seq::genome::GenomeBuilder;
 use genasm_seq::profile::ErrorProfile;
@@ -135,9 +134,8 @@ fn run_lockstep<const L: usize, const STORE: bool>(
     }
 }
 
-/// Streams every pair through a persistent-lane [`DcLaneStream`],
-/// refilling each lane the moment it resolves — the full-mode
-/// (edge-storing) kernel under the persistent scheduler.
+/// Streams every pair through a persistent-lane occurrence
+/// [`DcLaneStream`], refilling each lane the moment it resolves.
 fn run_stream<const L: usize>(pairs: &[(Vec<u8>, Vec<u8>)], stream: &mut DcLaneStream<L>) {
     let mut next = 0usize;
     let mut resolved = Vec::with_capacity(L);
@@ -199,33 +197,12 @@ fn bench_dc_multi(c: &mut Criterion) {
             .map(|n| n.get())
             .unwrap_or(1) as f64,
     );
-    // The detected SIMD tier behind every `LaneCount::Auto` figure
-    // below, so cross-host comparisons know which lane width `auto`
-    // resolved to (0 = portable, 1 = AVX2, 2 = AVX-512).
+    // The detected SIMD tier, the widest row kernel the lane widths
+    // below can run on (0 = portable, 1 = AVX2, 2 = AVX-512; only the
+    // 8- and 16-lane legs use AVX-512).
     let tier = simd_level();
     report.field_str("simd_level", tier.name());
     report.field_num("simd_level_rank", tier.rank() as f64);
-    // Auto-pick contract: full mode follows the tier's vector width;
-    // distance-only scans pin `auto` at 4 lanes (their 64-bit state
-    // occupies one quarter of a lane's registers, so wider rows only
-    // add drain-tail waste).
-    let auto_full = match tier {
-        SimdLevel::Avx512 => 16,
-        SimdLevel::Avx2 => 8,
-        SimdLevel::Portable => 4,
-    };
-    assert_eq!(
-        LaneCount::Auto.resolve(),
-        auto_full,
-        "full-mode Auto must follow the detected SIMD tier"
-    );
-    assert_eq!(
-        LaneCount::Auto.resolve_distance(),
-        4,
-        "distance-only Auto must stay at 4 lanes"
-    );
-    report.field_num("auto_lanes_full", auto_full as f64);
-    report.field_num("auto_lanes_distance", 4.0);
 
     // ---- Kernel level: full (edge-storing) mode ----------------------
     let pairs = window_pairs(n_windows, 0xD0C5);
@@ -288,44 +265,6 @@ fn bench_dc_multi(c: &mut Criterion) {
         );
     }
     println!("kernel full scalar: {scalar_full:.0} pairs/s");
-
-    // ---- Kernel level: chunked vs persistent-lane A/B ----------------
-    // The same edge-storing windows through the persistent-lane
-    // stream: lanes refill the moment they resolve, so the row-slot
-    // waste the chunked scheduler pays on divergent window distances
-    // (the `occupancy` gap above) is recovered.
-    let mut s4 = DcLaneStream::<4>::new();
-    let mut s8 = DcLaneStream::<8>::new();
-    let mut s16 = DcLaneStream::<16>::new();
-    let stream4 = best_rate(pairs.len(), reps, || run_stream::<4>(&pairs, &mut s4));
-    let stream4_occ = occupancy(s4.take_row_counters());
-    let stream8 = best_rate(pairs.len(), reps, || run_stream::<8>(&pairs, &mut s8));
-    let stream8_occ = occupancy(s8.take_row_counters());
-    let stream16 = best_rate(pairs.len(), reps, || run_stream::<16>(&pairs, &mut s16));
-    let stream16_occ = occupancy(s16.take_row_counters());
-    for (lanes, rate, occ, chunked_rate) in [
-        (4usize, stream4, stream4_occ, rate4),
-        (8, stream8, stream8_occ, rate8),
-        (16, stream16, stream16_occ, rate16),
-    ] {
-        report.record(
-            "kernel_stream",
-            &[
-                ("lanes", lanes as f64),
-                ("pairs_per_sec", rate),
-                ("speedup_vs_scalar", rate / scalar_full),
-                ("speedup_vs_chunked", rate / chunked_rate),
-                ("occupancy", occ),
-            ],
-        );
-        println!(
-            "kernel full persistent x{lanes}: {rate:.0} pairs/s ({:.2}x scalar, \
-             {:.2}x chunked, occupancy {:.1}%)",
-            rate / scalar_full,
-            rate / chunked_rate,
-            occ * 100.0
-        );
-    }
 
     // ---- Kernel level: distance-only mode (the filter workload) ------
     let scalar_distance = best_rate(pairs.len(), reps, || {
@@ -492,17 +431,9 @@ fn bench_dc_multi(c: &mut Criterion) {
         flat_metrics.rows_issued as f64 / occ_metrics.rows_issued as f64
     );
 
-    // ---- Engine level: scalar vs chunked vs persistent, one worker ---
+    // ---- Engine level: scalar vs lock-step, one worker ---------------
     let jobs = engine_jobs(n_jobs, 0xBE9C);
-    // (dispatch, lanes, json `persistent` flag, cross-claim persistence)
-    let engine_configs = [
-        (DcDispatch::Scalar, LaneCount::Four, 0.0, false),
-        (DcDispatch::Chunked, LaneCount::Four, 0.0, false),
-        (DcDispatch::Lockstep, LaneCount::Four, 1.0, false),
-        (DcDispatch::Lockstep, LaneCount::Four, 1.0, true),
-        (DcDispatch::Lockstep, LaneCount::Eight, 1.0, true),
-        (DcDispatch::Lockstep, LaneCount::Sixteen, 1.0, true),
-    ];
+    let dispatches = [DcDispatch::Scalar, DcDispatch::Lockstep];
     // Phase-1 counterparts of the same jobs: the distance-only scans
     // the two-phase mapper resolves candidates on (budget = the 15%
     // error fraction the mapper would use).
@@ -513,18 +444,16 @@ fn bench_dc_multi(c: &mut Criterion) {
             DistanceJob::new(&job.text, &job.pattern, k)
         })
         .collect();
-    let mut engine_rates = [0.0f64; 6];
-    let mut engine_occupancy = [f64::NAN; 6];
-    let mut engine_tb_rows = [0.0f64; 6];
-    let mut engine_distance_secs = [f64::MAX; 6];
-    let mut engine_distance_rates = [0.0f64; 6];
-    for (slot, &(dispatch, lanes, _, cross_claim)) in engine_configs.iter().enumerate() {
+    let mut engine_rates = [0.0f64; 2];
+    let mut engine_occupancy = [f64::NAN; 2];
+    let mut engine_tb_rows = [0u64; 2];
+    let mut engine_distance_secs = [f64::MAX; 2];
+    let mut engine_distance_rates = [0.0f64; 2];
+    for (slot, &dispatch) in dispatches.iter().enumerate() {
         let engine = Engine::new(
             EngineConfig::default()
                 .with_workers(1)
-                .with_dispatch(dispatch)
-                .with_lanes(lanes)
-                .with_persist_lanes(cross_claim),
+                .with_dispatch(dispatch),
         );
         let warm = engine.align_batch_with_stats(&jobs);
         assert_eq!(warm.stats.failures, 0, "bench workload must align cleanly");
@@ -532,36 +461,37 @@ fn bench_dc_multi(c: &mut Criterion) {
             let stats = engine.align_batch_with_stats(&jobs).stats;
             engine_rates[slot] = engine_rates[slot].max(stats.pairs_per_sec());
             engine_occupancy[slot] = stats.lane_occupancy().unwrap_or(f64::NAN);
-            engine_tb_rows[slot] = stats.tb_rows as f64;
+            engine_tb_rows[slot] = stats.tb_rows;
             // The distance-only half of the A/B: identical pairs, no
-            // row storage, no traceback. Phase-1 scans always run the
-            // persistent-lane occurrence stream under both lock-step
-            // dispatches (DcDispatch only selects the full-mode
-            // scheduler); only the Scalar row's distance figure is the
-            // per-job block metric.
+            // row storage, no traceback. Lock-step dispatch runs the
+            // occurrence stream; the Scalar row's distance figure is
+            // the per-job block metric.
             let (_, dstats) = engine.distance_batch_keyed(&djobs);
             engine_distance_secs[slot] = engine_distance_secs[slot].min(dstats.wall.as_secs_f64());
             engine_distance_rates[slot] = engine_distance_rates[slot].max(dstats.pairs_per_sec());
         }
     }
+    // Scheduling decides who computes a window, never which windows a
+    // walk visits: the lock-step engine walks exactly the scalar
+    // oracle's traceback rows. The counters are deterministic.
+    assert_eq!(
+        engine_tb_rows[1], engine_tb_rows[0],
+        "lock-step tb_rows must equal the scalar oracle's"
+    );
     let scalar_engine = engine_rates[0];
-    for (slot, &(dispatch, lanes, persistent, cross_claim)) in engine_configs.iter().enumerate() {
+    for (slot, &dispatch) in dispatches.iter().enumerate() {
         let rate = engine_rates[slot];
+        let lockstep = dispatch == DcDispatch::Lockstep;
         report.record(
             "engine",
             &[
-                (
-                    "lockstep",
-                    f64::from(u8::from(dispatch != DcDispatch::Scalar)),
-                ),
-                ("persistent", persistent),
-                ("cross_claim", f64::from(u8::from(cross_claim))),
-                ("lanes", lanes.resolve() as f64),
+                ("lockstep", f64::from(u8::from(lockstep))),
+                ("lanes", if lockstep { LANES as f64 } else { 1.0 }),
                 ("workers", 1.0),
                 ("pairs_per_sec", rate),
                 ("speedup_vs_scalar", rate / scalar_engine),
                 ("occupancy", engine_occupancy[slot]),
-                ("tb_rows", engine_tb_rows[slot]),
+                ("tb_rows", engine_tb_rows[slot] as f64),
                 ("distance_secs", engine_distance_secs[slot]),
                 ("distance_pairs_per_sec", engine_distance_rates[slot]),
                 (
@@ -571,31 +501,15 @@ fn bench_dc_multi(c: &mut Criterion) {
             ],
         );
         println!(
-            "engine 1 worker {dispatch:?} x{}{}: {rate:.0} pairs/s ({:.2}x scalar, \
+            "engine 1 worker {dispatch:?}: {rate:.0} pairs/s ({:.2}x scalar, \
              occupancy {:.1}%); distance-only {:.0} pairs/s ({:.2}x full)",
-            lanes.resolve(),
-            if cross_claim { " cross-claim" } else { "" },
             rate / scalar_engine,
             engine_occupancy[slot] * 100.0,
             engine_distance_rates[slot],
             engine_distance_rates[slot] / rate
         );
     }
-    // The tentpole's occupancy contract: keeping lanes loaded across
-    // work-queue claims (slot 3) must waste fewer row slots than
-    // draining at every claim boundary (slot 2) on the identical
-    // dispatch, lane width and workload. The counters behind these
-    // ratios are deterministic.
-    let per_claim_occupancy = engine_occupancy[2];
-    let cross_claim_occupancy = engine_occupancy[3];
-    assert!(
-        cross_claim_occupancy > per_claim_occupancy,
-        "cross-claim lane persistence must lift occupancy: \
-         {cross_claim_occupancy:.4} vs per-claim {per_claim_occupancy:.4}"
-    );
-    report.field_num("per_claim_occupancy", per_claim_occupancy);
-    report.field_num("cross_claim_occupancy", cross_claim_occupancy);
-    let lockstep_engine = engine_rates[3];
+    let lockstep_engine = engine_rates[1];
     // The lock-step PR's shared kernel optimizations (branchless
     // alphabet LUT, allocation-free pattern masks, zero-fill elision)
     // also sped up the scalar baseline itself; the pre-PR engine
@@ -604,8 +518,8 @@ fn bench_dc_multi(c: &mut Criterion) {
     report.field_num("engine_pairs_per_sec_pre_pr", 64_675.0);
     report.field_num("engine_speedup_vs_pre_pr", lockstep_engine / 64_675.0);
 
-    // True per-job latency percentiles under the persistent-lane
-    // scheduler at one worker, from the engine's own instrumentation,
+    // True per-job latency percentiles under the lock-step scheduler at
+    // one worker, from the engine's own instrumentation,
     // through the shared snapshot serializer.
     let telemetry = Telemetry::with_flags(true, false);
     let obs_engine = Engine::new(

@@ -2,7 +2,7 @@
 //! pipeline (`map_read` in a loop) against the staged engine-backed
 //! batch pipeline at 1 and 4 workers — full (align-everything) vs
 //! two-phase (distance-first resolution, traceback winners only)
-//! execution, scalar vs chunked vs persistent-lane DC dispatch, with
+//! execution, scalar vs lock-step DC dispatch, with
 //! DC lane occupancy, the distance/traceback stage split and the
 //! traceback-row volume recorded per configuration.
 //!
@@ -38,7 +38,7 @@ fn one_rate<F: FnOnce()>(reads: usize, work: F) -> f64 {
     reads as f64 / t0.elapsed().as_secs_f64()
 }
 
-const N_CONFIGS: usize = 8;
+const N_CONFIGS: usize = 7;
 
 /// Appends one normalized `pipeline` row. Every row carries the
 /// identical field set so consumers need no per-row schema detection;
@@ -51,7 +51,6 @@ fn pipeline_row(
     batch: f64,
     workers: f64,
     lockstep: f64,
-    persistent: f64,
     two_phase: f64,
     cascade: f64,
     rate: f64,
@@ -64,7 +63,6 @@ fn pipeline_row(
             ("batch", batch),
             ("workers", workers),
             ("lockstep", lockstep),
-            ("persistent", persistent),
             ("two_phase", two_phase),
             ("cascade", cascade),
             ("reads_per_sec", rate),
@@ -187,7 +185,6 @@ fn bench_map_throughput(c: &mut Criterion) {
     // (workers, dispatch, two-phase?, cascade filter?)
     let batch_configs: [(usize, DcDispatch, bool, bool); N_CONFIGS] = [
         (1, DcDispatch::Scalar, false, true),
-        (1, DcDispatch::Chunked, false, true),
         (1, DcDispatch::Lockstep, false, true),
         (1, DcDispatch::Lockstep, true, true),
         (1, DcDispatch::Lockstep, true, false),
@@ -323,7 +320,6 @@ fn bench_map_throughput(c: &mut Criterion) {
         1.0,
         0.0,
         0.0,
-        0.0,
         1.0,
         sequential_rate,
         sequential_rate,
@@ -333,14 +329,12 @@ fn bench_map_throughput(c: &mut Criterion) {
     for (((workers, dispatch, two_phase, cascade), rate), timings) in
         batch_configs.iter().zip(batch_rates).zip(&batch_timings)
     {
-        let lockstep = f64::from(u8::from(*dispatch != DcDispatch::Scalar));
-        let persistent = f64::from(u8::from(*dispatch == DcDispatch::Lockstep));
+        let lockstep = f64::from(u8::from(*dispatch == DcDispatch::Lockstep));
         pipeline_row(
             &mut report,
             1.0,
             *workers as f64,
             lockstep,
-            persistent,
             f64::from(u8::from(*two_phase)),
             f64::from(u8::from(*cascade)),
             rate,
@@ -387,7 +381,7 @@ fn bench_map_throughput(c: &mut Criterion) {
     );
 
     // ---- Telemetry overhead A/B --------------------------------------
-    // The same 1-worker persistent-lane two-phase configuration with
+    // The same 1-worker lock-step two-phase configuration with
     // telemetry fully off (the default mapper/engine, atomic-flag
     // gated) and fully on (metrics + span tracing), interleaved
     // best-of-reps. The disabled path is the product path: it must not
@@ -439,7 +433,7 @@ fn bench_map_throughput(c: &mut Criterion) {
     // ~nothing on the happy path. This binary builds without the
     // `chaos` feature, so the "off" leg is also the proof that a
     // default build carries no failpoint code. Same 1-worker
-    // persistent-lane two-phase configuration as the telemetry A/B.
+    // lock-step two-phase configuration as the telemetry A/B.
     let deadline_engine = two_phase_mapper
         .engine(1, DcDispatch::Lockstep)
         .with_cancel(CancelToken::with_deadline(Duration::from_secs(3600)));

@@ -3,12 +3,12 @@
 //! Subcommands:
 //!
 //! * `map --ref <fasta> --reads <fastq|fasta> [--error-rate 0.15]
-//!   [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
-//!   [--lanes 4|8|16|auto] [--shards 0] [--pipeline batch|sequential]` —
-//!   map reads against a reference through the engine-backed staged
-//!   batch pipeline (parallel seed + lock-step filter → multi-threaded
-//!   persistent-lane alignment), SAM on stdout and per-stage stats
-//!   (including DC lane occupancy) on stderr;
+//!   [--workers 0] [--kernel lockstep|scalar|gotoh] [--shards 0]
+//!   [--pipeline batch|sequential]` — map reads against a reference
+//!   through the engine-backed staged batch pipeline (parallel seed +
+//!   lock-step filter → multi-threaded lock-step alignment), SAM on
+//!   stdout and per-stage stats (including DC lane occupancy) on
+//!   stderr;
 //! * `align --ref <fasta> --query <fasta> [--k <edits>]` — search and
 //!   align each query in the reference, one summary line each;
 //! * `distance --a <fasta> --b <fasta>` — global edit distance between
@@ -35,7 +35,7 @@ use args::Args;
 use genasm_core::align::{GenAsmAligner, GenAsmConfig};
 use genasm_core::edit_distance::EditDistanceCalculator;
 use genasm_core::filter::PreAlignmentFilter;
-use genasm_engine::{CancelToken, DcDispatch, LaneCount};
+use genasm_engine::{CancelToken, DcDispatch};
 use genasm_mapper::pipeline::{
     AlignMode, AlignerKind, FilterMode, MapperConfig, ReadMapper, ReadOutcome, StageTimings,
 };
@@ -64,9 +64,8 @@ usage: genasm <command> [options]
 
 commands:
   map       --ref <fa> --reads <fq|fa|-> [--error-rate 0.15]
-            [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
-            [--lanes 4|8|16|auto] [--shards 0]
-            [--align-mode two-phase|full]
+            [--workers 0] [--kernel lockstep|scalar|gotoh]
+            [--shards 0] [--align-mode two-phase|full]
             [--filter-mode cascade|legacy]
             [--pipeline batch|sequential]                    SAM to stdout; per-stage
                                                              stats (index/seed/filter/
@@ -79,10 +78,7 @@ commands:
                                                              pipeline: --workers threads
                                                              (0 = all cores, also shards
                                                              the seeding stage), --shards
-                                                             index shards (0 = auto),
-                                                             --lanes lock-step lanes
-                                                             (auto = 16 with AVX-512,
-                                                             8 with AVX2);
+                                                             index shards (0 = auto);
                                                              --align-mode two-phase
                                                              (default) resolves
                                                              candidates distance-only
@@ -103,25 +99,23 @@ commands:
                                                              reference path (identical
                                                              mappings, for A/B runs)
   batch     --ref <fa> --reads <fq|fa> [--threads 0]
-            [--kernel lockstep|chunked|scalar|gotoh]
-            [--lanes 4|8|16|auto] [--align-mode two-phase|full]
+            [--kernel lockstep|scalar|gotoh]
+            [--align-mode two-phase|full]
             [--filter-mode cascade|legacy]
             [--error-rate 0.15]
             [--sam -]                                        engine-batched mapping,
                                                              throughput report on stderr,
                                                              SAM on stdout with --sam -
                                                              (genasm = alias of lockstep,
-                                                             the persistent-lane
-                                                             scheduler; chunked/scalar
-                                                             A/B the chunk-granularity
-                                                             and one-window DC paths)
+                                                             the lock-step DC
+                                                             scheduler; scalar runs the
+                                                             one-window reference path)
   serve     --ref <fa> [--listen <host:port>]
             [--batch-reads 64] [--batch-wait-ms 20]
             [--max-inflight-reads 1024]
             [--request-deadline-ms 0] [--pipeline-workers 2]
-            [--workers 0] [--kernel lockstep|chunked|scalar|gotoh]
-            [--lanes 4|8|16|auto] [--shards 0]
-            [--align-mode two-phase|full]
+            [--workers 0] [--kernel lockstep|scalar|gotoh]
+            [--shards 0] [--align-mode two-phase|full]
             [--filter-mode cascade|legacy]
             [--error-rate 0.15]                              long-running streaming
                                                              front-end: FASTQ in
@@ -172,7 +166,7 @@ telemetry (map, batch and filter):
                           JSON snapshot of the same counters/gauges/histograms
   --quiet                 suppress the stderr report entirely
   --trace-out <path>      write a Chrome trace-event JSON of per-worker stage spans
-                          (claim/dc/tb/drain, seed/filter/distance/resolve/traceback)
+                          (claim/dc/tb, seed/filter/distance/resolve/traceback)
                           — load it in Perfetto or chrome://tracing
 
 exit codes:
@@ -363,30 +357,14 @@ fn parse_deadline(args: &Args) -> Result<Option<CancelToken>, CliError> {
 
 /// Maps `--kernel` to the aligner selection and, for GenASM, the DC
 /// dispatch of the engine (`gotoh` swaps the whole alignment step to
-/// the DP baseline; `scalar` A/Bs the one-window-at-a-time DC path;
-/// `chunked` the chunk-granularity lock-step scheduler).
+/// the DP baseline; `scalar` runs the one-window-at-a-time reference
+/// DC path).
 fn parse_kernel(args: &Args) -> Result<(AlignerKind, DcDispatch), String> {
     match args.get("kernel").unwrap_or("lockstep") {
         "genasm" | "lockstep" => Ok((AlignerKind::GenAsm, DcDispatch::Lockstep)),
-        "chunked" => Ok((AlignerKind::GenAsm, DcDispatch::Chunked)),
         "scalar" => Ok((AlignerKind::GenAsm, DcDispatch::Scalar)),
         "gotoh" => Ok((AlignerKind::Gotoh, DcDispatch::Lockstep)),
         other => Err(format!("unknown kernel {other:?}")),
-    }
-}
-
-/// Maps `--lanes` to the lock-step lane-width selection (`auto` picks
-/// the detected SIMD tier: 16 lanes under AVX-512, 8 under AVX2, else
-/// 4; distance-only scans always resolve `auto` to 4).
-fn parse_lanes(args: &Args) -> Result<LaneCount, String> {
-    match args.get("lanes").unwrap_or("auto") {
-        "auto" => Ok(LaneCount::Auto),
-        "4" => Ok(LaneCount::Four),
-        "8" => Ok(LaneCount::Eight),
-        "16" => Ok(LaneCount::Sixteen),
-        other => Err(format!(
-            "unknown lane count {other:?} (use 4, 8, 16 or auto)"
-        )),
     }
 }
 
@@ -422,7 +400,6 @@ fn cmd_map(args: &Args) -> Result<(), CliError> {
     // Validate option values before touching the filesystem so a bad
     // invocation fails on the actual mistake.
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
-    let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
     let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
     let pipeline = match args.get("pipeline").unwrap_or("batch") {
@@ -461,7 +438,7 @@ fn cmd_map(args: &Args) -> Result<(), CliError> {
     let (outcomes, timings) = match pipeline {
         "batch" => {
             let mut engine = mapper
-                .engine_with_lanes(workers, dispatch, lanes)
+                .engine(workers, dispatch)
                 .with_telemetry(telemetry.clone());
             if let Some(token) = deadline {
                 engine = engine.with_cancel(token);
@@ -551,7 +528,6 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
     // Validate option values before touching the filesystem so a bad
     // invocation fails on the actual mistake.
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
-    let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
     let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
     let error_rate: f64 = args.number("error-rate", 0.15).map_err(CliError::Usage)?;
@@ -578,11 +554,11 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
         ..MapperConfig::default()
     };
     let mapper = ReadMapper::build(&reference.seq, config).with_telemetry(telemetry.clone());
-    // The scalar/chunked/lockstep triple produces bit-identical
-    // mappings; the flags exist so the DC paths can be A/B'd from the
-    // command line.
+    // Scalar and lock-step dispatch produce bit-identical mappings;
+    // `--kernel scalar` runs the reference DC path from the command
+    // line.
     let mut engine = mapper
-        .engine_with_lanes(threads, dispatch, lanes)
+        .engine(threads, dispatch)
         .with_telemetry(telemetry.clone());
     if let Some(token) = deadline {
         engine = engine.with_cancel(token);
@@ -655,7 +631,6 @@ static DRAIN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let (aligner, dispatch) = parse_kernel(args).map_err(CliError::Usage)?;
-    let lanes = parse_lanes(args).map_err(CliError::Usage)?;
     let align_mode = parse_align_mode(args).map_err(CliError::Usage)?;
     let filter_mode = parse_filter_mode(args).map_err(CliError::Usage)?;
     let error_rate: f64 = args.number("error-rate", 0.15).map_err(CliError::Usage)?;
@@ -689,7 +664,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     };
     let mapper = ReadMapper::build(&reference.seq, config).with_telemetry(telemetry.clone());
     let engine = mapper
-        .engine_with_lanes(workers, dispatch, lanes)
+        .engine(workers, dispatch)
         .with_telemetry(telemetry.clone());
     let server = ServeServer::start(
         mapper,
@@ -1052,9 +1027,8 @@ mod tests {
         .unwrap();
 
         // The engine-batched path maps the same inputs, on every kernel
-        // (scalar, chunked and lockstep are the A/B set of the DC
-        // dispatch).
-        for kernel in ["genasm", "gotoh", "scalar", "chunked", "lockstep"] {
+        // (scalar and lockstep are the two DC dispatches).
+        for kernel in ["genasm", "gotoh", "scalar", "lockstep"] {
             run(vec![
                 "batch".into(),
                 "--ref".into(),
@@ -1109,30 +1083,18 @@ mod tests {
             }
         }
 
-        // Explicit lane widths thread through to the engine.
-        for lanes in ["4", "8", "16", "auto"] {
-            run(vec![
-                "map".into(),
-                "--ref".into(),
-                format!("{prefix}_ref.fa"),
-                "--reads".into(),
-                format!("{prefix}_reads.fq"),
-                "--lanes".into(),
-                lanes.into(),
-            ])
-            .unwrap();
-        }
+        // The removed chunk-granularity kernel is rejected as usage.
         let err = run(vec![
             "map".into(),
             "--ref".into(),
             format!("{prefix}_ref.fa"),
             "--reads".into(),
             format!("{prefix}_reads.fq"),
-            "--lanes".into(),
-            "32".into(),
+            "--kernel".into(),
+            "chunked".into(),
         ])
         .unwrap_err();
-        assert!(err.message().contains("unknown lane count"), "{err:?}");
+        assert!(err.message().contains("unknown kernel"), "{err:?}");
         assert_eq!(err.exit_code(), 2);
 
         // The filter runs on both scan kernels.

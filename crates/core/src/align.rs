@@ -20,7 +20,7 @@ use crate::dc::{window_dc_into, DcArena, MAX_WINDOW};
 use crate::dc_sene::window_dc_sene_into;
 use crate::dc_wide::{window_dc_wide_into, WideArena, MAX_WIDE_WINDOW};
 use crate::error::AlignError;
-use crate::tb::{window_traceback, TbWalker, TracebackOrder, TracebackSource};
+use crate::tb::{window_traceback, TracebackOrder, TracebackSource};
 
 /// Which window kernel stores the traceback state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -417,10 +417,6 @@ pub struct WindowWalk<'a> {
     /// `(budget, consume_limit)` of the window handed out by the last
     /// [`next_window`](Self::next_window) call, awaiting `apply`.
     pending: Option<(usize, usize)>,
-    /// Budget of the window whose traceback was begun but not yet
-    /// completed (the [`begin_traceback`](Self::begin_traceback) /
-    /// [`complete_traceback`](Self::complete_traceback) split).
-    pending_budget: Option<usize>,
     done: bool,
 }
 
@@ -465,7 +461,6 @@ impl<'a> WindowWalk<'a> {
             cigar: Cigar::new(),
             stats: WindowStats::default(),
             pending: None,
-            pending_budget: None,
             done: false,
         })
     }
@@ -552,9 +547,7 @@ impl<'a> WindowWalk<'a> {
 
     /// Feeds back the GenASM-DC outcome of the window handed out by the
     /// last [`next_window`](Self::next_window): runs GenASM-TB over the
-    /// stored bitvectors and advances the cursors. Equivalent to
-    /// [`begin_traceback`](Self::begin_traceback) + a full
-    /// [`TbWalker::run`] + [`complete_traceback`](Self::complete_traceback).
+    /// stored bitvectors and advances the cursors.
     ///
     /// # Errors
     ///
@@ -571,73 +564,14 @@ impl<'a> WindowWalk<'a> {
         distance: Option<usize>,
         bv: &S,
     ) -> Result<(), AlignError> {
-        let mut walker = self.begin_traceback(distance, bv)?;
-        walker.run(bv, &self.config.order)?;
-        self.complete_traceback(walker, bv.stored_words())
-    }
-
-    /// First half of [`apply`](Self::apply): consumes the pending
-    /// window request and hands back a [`TbWalker`] positioned at the
-    /// window's resolved distance. The engine's lock-step scheduler
-    /// collects walkers from every window that resolved in one DC pass
-    /// and drains them as a batch, so the TB case checks of different
-    /// jobs run back-to-back instead of interleaved with kernel work;
-    /// the caller finishes the window with
-    /// [`complete_traceback`](Self::complete_traceback).
-    ///
-    /// # Errors
-    ///
-    /// [`AlignError::ExceededErrorBudget`] when `distance` is `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window request is pending.
-    pub fn begin_traceback<S: TracebackSource>(
-        &mut self,
-        distance: Option<usize>,
-        bv: &S,
-    ) -> Result<TbWalker, AlignError> {
         let (budget, consume_limit) = self
             .pending
             .take()
-            .expect("begin_traceback called without a pending window request");
-        match distance {
-            Some(d) => {
-                self.pending_budget = Some(budget);
-                Ok(TbWalker::new(bv, d, consume_limit))
-            }
-            None => Err(AlignError::ExceededErrorBudget { budget }),
-        }
-    }
-
-    /// Second half of [`apply`](Self::apply): folds a finished walker's
-    /// output into the CIGAR, cursors and stats. `stored_words` is the
-    /// window's TB-SRAM word count
-    /// ([`TracebackSource::stored_words`]).
-    ///
-    /// # Errors
-    ///
-    /// [`AlignError::ExceededErrorBudget`] when the traceback made no
-    /// forward progress (possible only with degenerate custom case
-    /// orders).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no [`begin_traceback`](Self::begin_traceback) call is
-    /// outstanding.
-    pub fn complete_traceback(
-        &mut self,
-        walker: TbWalker,
-        stored_words: usize,
-    ) -> Result<(), AlignError> {
-        let budget = self
-            .pending_budget
-            .take()
-            .expect("complete_traceback called without a begun traceback");
-        let d = walker.edit_distance();
-        let tb = walker.finish();
+            .expect("apply called without a pending window request");
+        let d = distance.ok_or(AlignError::ExceededErrorBudget { budget })?;
+        let tb = window_traceback(bv, d, consume_limit, &self.config.order)?;
         self.stats.windows += 1;
-        self.stats.bitvector_words += stored_words;
+        self.stats.bitvector_words += bv.stored_words();
         self.stats.window_edits += d;
         self.stats.tb_rows += d + 1;
         for &op in &tb.ops {

@@ -37,6 +37,11 @@
 //! `d` stops being *read* — the lock-step trade-off is that its slots
 //! keep computing until the deepest unresolved lane finishes, just as
 //! idle PEs burn cycles in the hardware pipeline.
+//!
+//! The distance-only phase-1 scans run on a third shape instead: the
+//! persistent-lane occurrence stream ([`DcLaneStream`]), whose lanes
+//! each advance an unanchored block scan at its own depth and refill
+//! the moment it resolves.
 
 use crate::alphabet::Alphabet;
 use crate::dc::{boundary_state, MAX_WINDOW};
@@ -159,8 +164,8 @@ impl<const L: usize> MultiDcArena<L> {
     /// `(issued, useful)`, where every full-width lock-step row issues
     /// `L` lane-slots and a slot is useful when it advanced a window
     /// that was still unresolved (row 0 is useful for every valid
-    /// lane). The gap between the two is the chunk-granularity waste
-    /// the persistent-lane scheduler ([`DcLaneStream`]) removes.
+    /// lane). The gap between the two is the chunk-granularity waste:
+    /// a pass runs until its deepest window resolves.
     pub fn row_counters(&self) -> (u64, u64) {
         (self.rows_issued, self.rows_useful)
     }
@@ -271,12 +276,6 @@ impl<const L: usize> TracebackSource for LaneBitvectors<'_, L> {
 
     fn subs_bit(&self, i: usize, d: usize, bit: usize) -> bool {
         d > 0 && ((self.del_at(i, d) << 1) >> bit) & 1 == 0
-    }
-}
-
-impl<const L: usize> crate::tb::TbWordSource for LaneBitvectors<'_, L> {
-    fn tb_words(&self, i: usize, d: usize) -> (u64, u64, u64) {
-        (self.match_at(i, d), self.ins_at(i, d), self.del_at(i, d))
     }
 }
 
@@ -500,25 +499,24 @@ fn run_multi<A: Alphabet, const L: usize, const STORE: bool>(
 /// Outcome of a [`DcLaneStream::refill_lane`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneLoad {
-    /// The window needs distance rows: [`DcLaneStream::step`] will
+    /// The scan needs distance rows: [`DcLaneStream::step`] will
     /// advance it and report it once it resolves.
     Pending,
-    /// The window resolved during the refill itself (anchor cleared at
-    /// distance 0, or a zero budget): its outcome and stored row are
-    /// readable immediately.
+    /// The scan resolved during the refill itself (the pattern occurs
+    /// exactly, or a zero budget): its outcome is readable immediately.
     Resolved,
 }
 
 /// Lifecycle of one persistent lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum LaneState {
-    /// No window loaded; the lane's slots compute padding.
+    /// No scan loaded; the lane's slots compute padding.
     #[default]
     Idle,
-    /// A window is being advanced one distance row per step.
+    /// A scan is being advanced one distance row per step.
     Active,
-    /// The window resolved; outcome and bitvectors are readable until
-    /// the lane is refilled or released.
+    /// The scan resolved; its outcome is readable until the lane is
+    /// refilled or released.
     Resolved,
 }
 
@@ -532,45 +530,29 @@ struct StreamLaneMeta {
     k_max: usize,
     /// Depth of the lane's newest computed row (`prev` holds `R[d]`).
     d: usize,
-    /// Global step index of the lane's `d = 1` row — the lane's offset
-    /// into the shared row ring. The lane's row `d >= 1` lives at ring
-    /// slot `start + d - 1`.
-    start: usize,
-    /// Stored rows after resolution (`d_found + 1`, or `k_max + 1`).
-    rows: usize,
-    /// Window distance, `None` when `k_max` was exhausted; meaningful
+    /// Scan distance, `None` when `k_max` was exhausted; meaningful
     /// only in [`LaneState::Resolved`].
     outcome: Option<usize>,
 }
 
-/// The persistent-lane streaming GenASM-DC kernel: `L` lanes that each
-/// carry an **independent** window at its own depth, with a
+/// The persistent-lane **unanchored occurrence scan**: `L` lanes that
+/// each carry an independent (text, pattern of at most [`MAX_WINDOW`]
+/// characters) scan at its own depth, with a
 /// [`refill_lane`](DcLaneStream::refill_lane) entry point so a lane is
-/// reloaded the moment its window resolves — no lane ever idles waiting
-/// for the deepest window of a chunk.
+/// reloaded the moment its scan resolves — no lane idles waiting for
+/// the deepest scan of a batch. Each lane resolves at the first depth
+/// where its pattern occurs *anywhere* in its text; per-lane results
+/// are identical to the scalar
+/// [`occurrence_distance_into`](crate::dc::occurrence_distance_into).
 ///
-/// This is the software shape of the accelerator's in-flight window
-/// pool (§7): the hardware keeps its DC pipeline saturated by always
-/// having enough independent windows in flight to cover divergent
-/// window distances. The chunked scheduler
-/// ([`window_dc_multi_into`]) approximates that only at chunk
-/// granularity and wastes the resolved lanes' slots until the chunk
-/// drains; here every [`step`](DcLaneStream::step) advances *every*
-/// loaded lane by one distance row — each lane at its own depth
-/// `d_lane`, with per-lane boundary states — and resolved lanes are
-/// handed back for immediate refill.
-///
-/// Row storage is a shared ring: step `s` stores one full-width
-/// `[u64; L]` row triple (match/insertion/deletion), and a lane
-/// refilled at step `s0` finds its depth-`d` rows at ring slot
-/// `s0 + d - 1` (its *row-storage offset*); the `d = 0` match row is
-/// kept per-lane. Rows retire to a spare pool once every engaged
-/// lane's offset has moved past them, so a warmed-up stream allocates
-/// nothing. Per-lane results — distances, stored bitvectors
-/// ([`DcLaneStream::lane`] implements
-/// [`TracebackSource`]) and input errors — are **bit-identical** to
-/// the scalar [`window_dc_into`](crate::dc::window_dc_into) on the
-/// same window.
+/// This is the kernel behind the engine's distance-only (phase-1)
+/// block scans, the software shape of the accelerator's in-flight
+/// window pool (§7): every [`step`](DcLaneStream::step) advances every
+/// loaded lane by one distance row — each lane at its own depth, with
+/// per-lane boundary states — and resolved lanes are handed back for
+/// immediate refill. Only the rolling rows are kept (no TB-SRAM), and
+/// the hit test rides inside the row kernel as a per-lane AND
+/// accumulator ([`dc_row_distance_acc`]).
 #[derive(Debug)]
 pub struct DcLaneStream<const L: usize> {
     /// Text positions currently allocated (the longest engaged text).
@@ -581,97 +563,29 @@ pub struct DcLaneStream<const L: usize> {
     /// Rolling rows: `prev[i][lane]` holds lane's `R[d_lane][i]`.
     prev: Vec<[u64; L]>,
     cur: Vec<[u64; L]>,
-    /// Per-lane `R[0]` (the `d = 0` match row), written at refill.
-    d0: Vec<[u64; L]>,
-    /// Shared row ring: `rows[s - base]` stores the bitvectors of
-    /// global step `s`.
-    match_rows: Vec<Vec<[u64; L]>>,
-    ins_rows: Vec<Vec<[u64; L]>>,
-    del_rows: Vec<Vec<[u64; L]>>,
-    /// Global step index of `match_rows[0]`.
-    base: usize,
-    /// Retired rows available for reuse.
-    spare: Vec<Vec<[u64; L]>>,
     meta: [StreamLaneMeta; L],
-    /// Full-width steps completed since creation.
-    steps: usize,
     rows_issued: u64,
     rows_useful: u64,
-    /// `false` runs the stream in **distance-only** mode: the identical
-    /// recurrence and per-lane outcomes, but no row triple is pushed to
-    /// the ring — the two-phase mapper's phase-1 kernel, where
-    /// traceback is never walked ([`Self::lane`] is not available).
-    store: bool,
-    /// `true` resolves a lane at the first row with a clear MSB at
-    /// *any* text position (the unanchored occurrence scan of
-    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into))
-    /// instead of position 0 only.
-    unanchored: bool,
     /// Scalar column-scan operations (one per text position read by a
     /// per-lane probe scan) performed since the last
-    /// [`take_scan_ops`](Self::take_scan_ops). Unanchored streams
-    /// answer their hit test from the row kernel's fused per-lane AND
-    /// accumulator ([`dc_row_distance_acc`]) and scan only in the
-    /// rare `d >= m` exactness fallback.
+    /// [`take_scan_ops`](Self::take_scan_ops). The fused accumulator
+    /// answers every probe below depth `m`; only the rare `d >= m`
+    /// exactness fallback scans.
     scan_ops: u64,
 }
 
-impl<const L: usize> Default for DcLaneStream<L> {
-    fn default() -> Self {
+impl<const L: usize> DcLaneStream<L> {
+    /// An empty occurrence stream; buffers are grown on first use.
+    pub fn occurrence_scan() -> Self {
         DcLaneStream {
             capacity: 0,
             text_pm: Vec::new(),
             prev: Vec::new(),
             cur: Vec::new(),
-            d0: Vec::new(),
-            match_rows: Vec::new(),
-            ins_rows: Vec::new(),
-            del_rows: Vec::new(),
-            base: 0,
-            spare: Vec::new(),
             meta: [StreamLaneMeta::default(); L],
-            steps: 0,
             rows_issued: 0,
             rows_useful: 0,
-            store: true,
-            unanchored: false,
             scan_ops: 0,
-        }
-    }
-}
-
-impl<const L: usize> DcLaneStream<L> {
-    /// An empty full-mode (edge-storing) stream; buffers are grown on
-    /// first use.
-    pub fn new() -> Self {
-        DcLaneStream::default()
-    }
-
-    /// An empty **distance-only** stream: per-lane distances identical
-    /// to the full-mode stream (and to the scalar
-    /// [`window_dc_distance_into`](crate::dc::window_dc_distance_into))
-    /// but nothing is written to the row ring, so no TB-SRAM traffic is
-    /// modeled and [`Self::lane`] must not be called.
-    pub fn distance_only() -> Self {
-        DcLaneStream {
-            store: false,
-            ..DcLaneStream::default()
-        }
-    }
-
-    /// An empty **unanchored occurrence** stream: distance-only lanes
-    /// that resolve at the first depth where the lane's pattern occurs
-    /// *anywhere* in its text — per-lane results identical to the
-    /// scalar
-    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into).
-    /// This is the kernel behind the two-phase mapper's phase-1 block
-    /// scans: every lane carries one read block against one candidate
-    /// region, each at its own depth, refilled the moment it resolves.
-    pub fn occurrence_scan() -> Self {
-        DcLaneStream {
-            store: false,
-            unanchored: true,
-            ..DcLaneStream::default()
         }
     }
 
@@ -688,7 +602,7 @@ impl<const L: usize> DcLaneStream<L> {
         std::mem::take(&mut self.scan_ops)
     }
 
-    /// Lanes currently advancing a window.
+    /// Lanes currently advancing a scan.
     pub fn active_lanes(&self) -> usize {
         self.meta
             .iter()
@@ -699,7 +613,7 @@ impl<const L: usize> DcLaneStream<L> {
     /// Lock-step row-slot accounting accumulated across the stream's
     /// lifetime: `(issued, useful)` — every full-width step issues `L`
     /// lane-slots, of which the slots advancing a loaded, unresolved
-    /// window are useful. (Per-lane `d = 0` initialization happens
+    /// scan are useful. (Per-lane `d = 0` initialization happens
     /// inside [`refill_lane`](Self::refill_lane) at exact width and is
     /// not lock-step work, so it is not counted; the chunked kernel's
     /// full-width row 0 is.)
@@ -715,7 +629,7 @@ impl<const L: usize> DcLaneStream<L> {
         counters
     }
 
-    /// The resolved window distance of `lane` (`None` when the lane's
+    /// The resolved scan distance of `lane` (`None` when the lane's
     /// `k_max` was exhausted).
     ///
     /// # Panics
@@ -729,44 +643,24 @@ impl<const L: usize> DcLaneStream<L> {
         self.meta[lane].outcome
     }
 
-    /// The stored bitvectors of a resolved lane, as a traceback
-    /// source — bit-identical to the scalar kernel's view of the same
-    /// window.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lane is not in the resolved state.
-    pub fn lane(&self, lane: usize) -> StreamLaneBitvectors<'_, L> {
-        assert!(
-            self.store,
-            "lane views are not available on a distance-only stream"
-        );
-        assert!(
-            self.meta[lane].state == LaneState::Resolved,
-            "lane {lane} has no resolved window"
-        );
-        StreamLaneBitvectors { stream: self, lane }
-    }
-
     /// Unloads `lane` (after its outcome has been consumed, or to
-    /// abandon it), retiring any rows no other lane still needs.
+    /// abandon it).
     pub fn release_lane(&mut self, lane: usize) {
         self.meta[lane].state = LaneState::Idle;
-        self.retire_rows();
     }
 
-    /// Loads a window into `lane`, replacing whatever ran there — the
+    /// Loads a scan into `lane`, replacing whatever ran there — the
     /// persistent-lane entry point: call it the moment the lane's
-    /// previous window resolves (and its bitvectors have been
-    /// consumed). On [`LaneLoad::Resolved`] the window resolved during
-    /// the refill itself; on error the lane is left idle.
+    /// previous scan resolves. On [`LaneLoad::Resolved`] the scan
+    /// resolved during the refill itself; on error the lane is left
+    /// idle.
     ///
     /// # Errors
     ///
     /// The same input errors, in the same precedence, as the scalar
-    /// [`window_dc`](crate::dc::window_dc): empty pattern, empty text,
-    /// pattern longer than [`MAX_WINDOW`], invalid symbol (first text
-    /// position in ascending order).
+    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into):
+    /// empty pattern, empty text, pattern longer than [`MAX_WINDOW`],
+    /// invalid symbol (first text position in ascending order).
     pub fn refill_lane<A: Alphabet>(
         &mut self,
         lane: usize,
@@ -775,24 +669,15 @@ impl<const L: usize> DcLaneStream<L> {
         k_max: usize,
     ) -> Result<LaneLoad, AlignError> {
         assert!(lane < L, "lane {lane} out of range for {L} lanes");
-        // The lane is vacated first so retirement stays correct even
-        // when validation fails below.
         self.meta[lane].state = LaneState::Idle;
-        let validated: Result<PatternBitmasks64<A>, AlignError> = if pattern.is_empty() {
-            Err(AlignError::EmptyPattern)
+        let pm: PatternBitmasks64<A> = if pattern.is_empty() {
+            return Err(AlignError::EmptyPattern);
         } else if text.is_empty() {
-            Err(AlignError::EmptyText)
+            return Err(AlignError::EmptyText);
         } else if pattern.len() > MAX_WINDOW {
-            Err(AlignError::InvalidWindow { w: pattern.len() })
+            return Err(AlignError::InvalidWindow { w: pattern.len() });
         } else {
-            PatternBitmasks64::<A>::new(pattern)
-        };
-        let pm = match validated {
-            Ok(pm) => pm,
-            Err(e) => {
-                self.retire_rows();
-                return Err(e);
-            }
+            PatternBitmasks64::<A>::new(pattern)?
         };
         let n = text.len();
         self.ensure_capacity(n);
@@ -805,7 +690,6 @@ impl<const L: usize> DcLaneStream<L> {
                     for row in self.text_pm.iter_mut().take(i) {
                         row[lane] = u64::MAX;
                     }
-                    self.retire_rows();
                     return Err(AlignError::InvalidSymbol { pos: i, byte });
                 }
             }
@@ -817,47 +701,36 @@ impl<const L: usize> DcLaneStream<L> {
         // Per-lane row 0 at exact width: R[0][i] = (R[0][i+1] << 1) |
         // PM, with padding positions idling at boundary_state(0) (all
         // ones) so the full-width steps read the right boundary at
-        // i = n - 1.
+        // i = n - 1. The probe is the AND over every position: its MSB
+        // is clear iff some position's is.
         for row in self.prev[n..].iter_mut() {
             row[lane] = u64::MAX;
         }
         let mut r = u64::MAX;
-        let mut acc = u64::MAX;
+        let mut probe = u64::MAX;
         for i in (0..n).rev() {
             r = (r << 1) | self.text_pm[i][lane];
             self.prev[i][lane] = r;
-            self.d0[i][lane] = r;
-            acc &= r;
+            probe &= r;
         }
-        // Anchored streams resolve on position 0's state; the
-        // unanchored occurrence scan on the AND over every position
-        // (its MSB is clear iff some position's is).
-        let probe = if self.unanchored { acc } else { r };
 
         let msb = 1u64 << (pattern.len() - 1);
-        self.meta[lane] = StreamLaneMeta {
+        let meta = &mut self.meta[lane];
+        *meta = StreamLaneMeta {
             state: LaneState::Active,
             n,
             m: pattern.len(),
             msb,
             k_max,
             d: 0,
-            start: self.steps,
-            rows: 0,
             outcome: None,
         };
-        self.retire_rows();
-        let rows0 = usize::from(self.store);
-        let meta = &mut self.meta[lane];
         if probe & msb == 0 {
             meta.state = LaneState::Resolved;
             meta.outcome = Some(0);
-            meta.rows = rows0;
             Ok(LaneLoad::Resolved)
         } else if k_max == 0 {
             meta.state = LaneState::Resolved;
-            meta.outcome = None;
-            meta.rows = rows0;
             Ok(LaneLoad::Resolved)
         } else {
             Ok(LaneLoad::Pending)
@@ -885,90 +758,51 @@ impl<const L: usize> DcLaneStream<L> {
         self.rows_issued += L as u64;
         self.rows_useful += active as u64;
 
-        // Per-lane fused AND accumulator, written by the fused
-        // occurrence kernel below.
         let mut acc = [u64::MAX; L];
-        if self.store {
-            let mut match_row = self.fresh_row();
-            let mut ins_row = self.fresh_row();
-            let mut del_row = self.fresh_row();
-            dc_row_full::<L>(
-                &self.text_pm,
-                &self.prev,
-                &mut self.cur,
-                &mut match_row,
-                &mut ins_row,
-                &mut del_row,
-                &init_d,
-                &init_dm1,
-            );
-            self.match_rows.push(match_row);
-            self.ins_rows.push(ins_row);
-            self.del_rows.push(del_row);
-        } else if self.unanchored {
-            dc_row_distance_acc::<L>(
-                &self.text_pm,
-                &self.prev,
-                &mut self.cur,
-                &init_d,
-                &init_dm1,
-                &mut acc,
-            );
-        } else {
-            dc_row_distance::<L>(&self.text_pm, &self.prev, &mut self.cur, &init_d, &init_dm1);
-        }
+        dc_row_distance_acc::<L>(
+            &self.text_pm,
+            &self.prev,
+            &mut self.cur,
+            &init_d,
+            &init_dm1,
+            &mut acc,
+        );
         std::mem::swap(&mut self.prev, &mut self.cur);
-        self.steps += 1;
 
-        let stored = self.store;
-        let unanchored = self.unanchored;
         let mut scan_ops = 0u64;
         for (lane, meta) in self.meta.iter_mut().enumerate() {
             if meta.state != LaneState::Active {
                 continue;
             }
             meta.d += 1;
-            let probe = if unanchored {
-                if meta.d < meta.m {
-                    // The accumulator ANDs over the full allocated
-                    // width, but an active lane's padding positions
-                    // idle at `boundary_state(d)`, whose MSB stays set
-                    // while `d < m` — so the full-width AND agrees
-                    // exactly with the exact-width scan.
-                    acc[lane]
-                } else {
-                    // The `d >= m` exactness fallback (padding MSBs
-                    // have gone clear): scan the lane's exact-width
-                    // column.
-                    scan_ops += meta.n as u64;
-                    let mut lane_acc = u64::MAX;
-                    for row in self.prev[..meta.n].iter() {
-                        lane_acc &= row[lane];
-                    }
-                    lane_acc
-                }
+            let probe = if meta.d < meta.m {
+                // The accumulator ANDs over the full allocated width,
+                // but an active lane's padding positions idle at
+                // `boundary_state(d)`, whose MSB stays set while
+                // `d < m` — so the full-width AND agrees exactly with
+                // the exact-width scan.
+                acc[lane]
             } else {
-                self.prev[0][lane]
+                // The `d >= m` exactness fallback (padding MSBs have
+                // gone clear): scan the lane's exact-width column.
+                scan_ops += meta.n as u64;
+                let mut lane_acc = u64::MAX;
+                for row in self.prev[..meta.n].iter() {
+                    lane_acc &= row[lane];
+                }
+                lane_acc
             };
             if probe & meta.msb == 0 {
                 meta.state = LaneState::Resolved;
                 meta.outcome = Some(meta.d);
-                meta.rows = if stored { meta.d + 1 } else { 0 };
                 resolved.push(lane);
             } else if meta.d == meta.k_max {
                 meta.state = LaneState::Resolved;
                 meta.outcome = None;
-                meta.rows = if stored { meta.d + 1 } else { 0 };
                 resolved.push(lane);
             }
         }
         self.scan_ops += scan_ops;
-    }
-
-    /// Total `[u64; L]` rows currently retained in the ring and the
-    /// spare pool — exposed so tests can assert reuse.
-    pub fn retained_rows(&self) -> usize {
-        self.match_rows.len() + self.ins_rows.len() + self.del_rows.len() + self.spare.len()
     }
 
     /// Grows the shared buffers to `n` text positions, preserving the
@@ -983,7 +817,6 @@ impl<const L: usize> DcLaneStream<L> {
         self.text_pm.resize(n, [u64::MAX; L]);
         self.prev.resize(n, [0u64; L]);
         self.cur.resize(n, [0u64; L]);
-        self.d0.resize(n, [0u64; L]);
         for (lane, meta) in self.meta.iter().enumerate() {
             if meta.state == LaneState::Active {
                 let boundary = boundary_state(meta.d);
@@ -992,135 +825,6 @@ impl<const L: usize> DcLaneStream<L> {
                 }
             }
         }
-        // Rows already in the ring keep their old length: views only
-        // read `i < n_lane`, and every lane engaged before the growth
-        // has `n_lane <= old`.
-    }
-
-    /// Retires ring rows that every engaged lane's offset has moved
-    /// past.
-    fn retire_rows(&mut self) {
-        let min_start = self
-            .meta
-            .iter()
-            .filter(|m| m.state != LaneState::Idle)
-            .map(|m| m.start)
-            .min()
-            .unwrap_or(self.steps);
-        let retire = min_start
-            .saturating_sub(self.base)
-            .min(self.match_rows.len());
-        if retire == 0 {
-            return;
-        }
-        for rows in [&mut self.match_rows, &mut self.ins_rows, &mut self.del_rows] {
-            self.spare.extend(rows.drain(..retire));
-        }
-        self.base += retire;
-    }
-
-    /// A ring row of `capacity` slots whose every entry the step
-    /// overwrites before any view reads it.
-    fn fresh_row(&mut self) -> Vec<[u64; L]> {
-        let n = self.capacity;
-        match self.spare.pop() {
-            Some(mut row) => {
-                if row.len() != n {
-                    row.clear();
-                    row.resize(n, [0u64; L]);
-                }
-                row
-            }
-            None => vec![[0u64; L]; n],
-        }
-    }
-}
-
-/// One resolved lane of a [`DcLaneStream`], viewed exactly like the
-/// scalar kernel's [`WindowBitvectors`](crate::dc::WindowBitvectors):
-/// same indexing, same derived substitution bitvector, same TB-SRAM
-/// word accounting — so
-/// [`window_traceback`](crate::tb::window_traceback) walks are
-/// bit-identical between the scalar and persistent-lane kernels.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamLaneBitvectors<'a, const L: usize> {
-    stream: &'a DcLaneStream<L>,
-    lane: usize,
-}
-
-impl<const L: usize> StreamLaneBitvectors<'_, L> {
-    /// Distance rows this lane stored (`d = 0..rows()`).
-    pub fn rows(&self) -> usize {
-        self.stream.meta[self.lane].rows
-    }
-
-    /// Ring slot of this lane's depth-`d` row (`d >= 1`).
-    fn slot(&self, d: usize) -> usize {
-        self.stream.meta[self.lane].start + d - 1 - self.stream.base
-    }
-
-    /// Match bitvector at text iteration `i`, distance `d`.
-    pub fn match_at(&self, i: usize, d: usize) -> u64 {
-        debug_assert!(d < self.rows() && i < self.text_len());
-        if d == 0 {
-            self.stream.d0[i][self.lane]
-        } else {
-            self.stream.match_rows[self.slot(d)][i][self.lane]
-        }
-    }
-
-    /// Insertion bitvector at `(i, d)`; all-ones for `d = 0`.
-    pub fn ins_at(&self, i: usize, d: usize) -> u64 {
-        if d == 0 {
-            u64::MAX
-        } else {
-            self.stream.ins_rows[self.slot(d)][i][self.lane]
-        }
-    }
-
-    /// Deletion bitvector at `(i, d)`; all-ones for `d = 0`.
-    pub fn del_at(&self, i: usize, d: usize) -> u64 {
-        if d == 0 {
-            u64::MAX
-        } else {
-            self.stream.del_rows[self.slot(d)][i][self.lane]
-        }
-    }
-}
-
-impl<const L: usize> TracebackSource for StreamLaneBitvectors<'_, L> {
-    fn pattern_len(&self) -> usize {
-        self.stream.meta[self.lane].m
-    }
-
-    fn text_len(&self) -> usize {
-        self.stream.meta[self.lane].n
-    }
-
-    fn stored_words(&self) -> usize {
-        edge_store_words(self.text_len(), self.rows())
-    }
-
-    fn match_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        (self.match_at(i, d) >> bit) & 1 == 0
-    }
-
-    fn ins_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        d > 0 && (self.ins_at(i, d) >> bit) & 1 == 0
-    }
-
-    fn del_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        d > 0 && (self.del_at(i, d) >> bit) & 1 == 0
-    }
-
-    fn subs_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        d > 0 && ((self.del_at(i, d) << 1) >> bit) & 1 == 0
-    }
-}
-
-impl<const L: usize> crate::tb::TbWordSource for StreamLaneBitvectors<'_, L> {
-    fn tb_words(&self, i: usize, d: usize) -> (u64, u64, u64) {
-        (self.match_at(i, d), self.ins_at(i, d), self.del_at(i, d))
     }
 }
 
@@ -1128,11 +832,11 @@ impl<const L: usize> crate::tb::TbWordSource for StreamLaneBitvectors<'_, L> {
 /// bounds checks and branches in the lane dimension so LLVM unrolls and
 /// vectorizes the `L`-wide inner loop.
 ///
-/// The boundary inits are **per-lane** arrays: the chunked scheduler
-/// broadcasts one depth to every lane, while the persistent-lane
-/// scheduler ([`DcLaneStream`]) advances each lane at its own depth
-/// `d_lane` and passes `boundary_state(d_lane)` / `boundary_state(d_lane
-/// - 1)` per lane.
+/// The boundary inits are **per-lane** arrays: the chunked kernel
+/// broadcasts one depth to every lane, while the occurrence stream
+/// ([`DcLaneStream`]) advances each lane at its own depth `d_lane` and
+/// passes `boundary_state(d_lane)` / `boundary_state(d_lane - 1)` per
+/// lane.
 #[allow(clippy::too_many_arguments)]
 fn dc_row_multi<const L: usize, const STORE: bool>(
     pm: &[[u64; L]],
@@ -1673,7 +1377,7 @@ unsafe fn dc_row_distance_acc_avx512<const L: usize>(
 mod tests {
     use super::*;
     use crate::alphabet::Dna;
-    use crate::dc::{window_dc, window_dc_distance, DcArena, WindowBitvectors};
+    use crate::dc::{window_dc, DcArena, WindowBitvectors};
     use crate::tb::{window_traceback, TracebackOrder};
 
     fn dna(len: usize, seed: u64) -> Vec<u8> {
@@ -1929,89 +1633,6 @@ mod tests {
         }
     }
 
-    /// Drains `windows` through a [`DcLaneStream`], refilling each lane
-    /// the moment it resolves, and checks every outcome, stored
-    /// bitvector and traceback against the scalar kernel.
-    // The drain loop indexes `resolved`/`loaded` while the feed macro
-    // mutates them; range loops are the clearest shape for that.
-    #[allow(clippy::needless_range_loop)]
-    fn drain_stream_against_scalar<const L: usize>(
-        stream: &mut DcLaneStream<L>,
-        windows: &[(Vec<u8>, Vec<u8>, usize)],
-    ) {
-        let mut next = 0usize;
-        let mut loaded: [Option<usize>; L] = [None; L];
-        let mut resolved = Vec::new();
-        let check = |stream: &DcLaneStream<L>, lane: usize, window: usize| {
-            let (text, pattern, k_max) = &windows[window];
-            let scalar = window_dc::<Dna>(text, pattern, *k_max).unwrap();
-            assert_eq!(
-                stream.outcome(lane),
-                scalar.edit_distance,
-                "window {window} distance"
-            );
-            let view = stream.lane(lane);
-            assert_eq!(view.rows(), scalar.bitvectors.rows(), "window {window}");
-            for d in 0..view.rows() {
-                for i in 0..scalar.bitvectors.text_len() {
-                    assert_eq!(view.match_at(i, d), scalar.bitvectors.match_at(i, d));
-                    assert_eq!(view.ins_at(i, d), scalar.bitvectors.ins_at(i, d));
-                    assert_eq!(view.del_at(i, d), scalar.bitvectors.del_at(i, d));
-                }
-            }
-            assert_eq!(view.stored_words(), scalar.bitvectors.stored_words());
-            if let Some(d) = scalar.edit_distance {
-                let walk_scalar =
-                    window_traceback(&scalar.bitvectors, d, usize::MAX, &TracebackOrder::affine())
-                        .unwrap();
-                let walk_stream =
-                    window_traceback(&view, d, usize::MAX, &TracebackOrder::affine()).unwrap();
-                assert_eq!(walk_scalar.ops, walk_stream.ops, "window {window}");
-            }
-        };
-        // Feed a lane until it holds a pending window (checking instant
-        // resolutions on the spot) or the queue runs dry.
-        macro_rules! feed {
-            ($lane:expr) => {
-                loop {
-                    if next >= windows.len() {
-                        stream.release_lane($lane);
-                        loaded[$lane] = None;
-                        break;
-                    }
-                    let window = next;
-                    next += 1;
-                    let (text, pattern, k_max) = &windows[window];
-                    match stream.refill_lane::<Dna>($lane, text, pattern, *k_max) {
-                        Ok(LaneLoad::Pending) => {
-                            loaded[$lane] = Some(window);
-                            break;
-                        }
-                        Ok(LaneLoad::Resolved) => check(stream, $lane, window),
-                        Err(e) => {
-                            let scalar = window_dc::<Dna>(text, pattern, *k_max);
-                            assert_eq!(scalar.unwrap_err(), e, "window {window} error");
-                        }
-                    }
-                }
-            };
-        }
-        for lane in 0..L {
-            feed!(lane);
-        }
-        while stream.active_lanes() > 0 {
-            resolved.clear();
-            stream.step(&mut resolved);
-            for i in 0..resolved.len() {
-                let lane = resolved[i];
-                let window = loaded[lane].expect("resolved lane is loaded");
-                check(stream, lane, window);
-                feed!(lane);
-            }
-        }
-        assert_eq!(next, windows.len(), "every window must be drained");
-    }
-
     /// Windows of ragged sizes, divergent distances, exhausted budgets,
     /// instant resolutions and invalid inputs, from a deterministic
     /// generator.
@@ -2054,19 +1675,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_scalar_across_ragged_lifetimes() {
-        let mut stream4 = DcLaneStream::<4>::new();
-        let mut stream8 = DcLaneStream::<8>::new();
-        let mut stream16 = DcLaneStream::<16>::new();
-        for seed in 1..8u64 {
-            let windows = ragged_windows(37, seed * 0x9E37);
-            drain_stream_against_scalar(&mut stream4, &windows);
-            drain_stream_against_scalar(&mut stream8, &windows);
-            drain_stream_against_scalar(&mut stream16, &windows);
-        }
-    }
-
-    #[test]
     fn sixteen_lane_arena_matches_scalar_bit_for_bit() {
         // L = 16 dispatches to the AVX-512 row kernels where the host
         // supports them (two 512-bit vectors per step) and to the
@@ -2094,136 +1702,6 @@ mod tests {
                 let scalar = window_dc::<Dna>(lane.text, lane.pattern, lane.k_max).unwrap();
                 assert_lane_matches_scalar(&arena, l, scalar.edit_distance, &scalar.bitvectors);
             }
-        }
-    }
-
-    #[test]
-    fn stream_handles_short_queues_and_empty_tail() {
-        // Fewer windows than lanes: most lanes idle from the start, and
-        // the tail drains with a single active lane.
-        let mut stream = DcLaneStream::<8>::new();
-        for count in [1usize, 2, 3, 7] {
-            let windows = ragged_windows(count, count as u64 * 131);
-            drain_stream_against_scalar(&mut stream, &windows);
-        }
-    }
-
-    #[test]
-    fn stream_occupancy_beats_chunked_on_divergent_windows() {
-        // Windows with wildly divergent distances: the chunked kernel
-        // wastes resolved lanes' slots until the deepest lane finishes;
-        // the persistent stream refills them instead.
-        let windows: Vec<(Vec<u8>, Vec<u8>, usize)> = (0..64u64)
-            .map(|i| {
-                let text = dna(60, i * 7 + 1);
-                let mut pattern = text[..56].to_vec();
-                for e in 0..(i as usize % 14) {
-                    let idx = (e * 13 + 5) % pattern.len();
-                    pattern[idx] = if pattern[idx] == b'A' { b'T' } else { b'A' };
-                }
-                (text, pattern, 56)
-            })
-            .collect();
-
-        let mut chunked = MultiDcArena::<4>::new();
-        for chunk in windows.chunks(4) {
-            let lanes: Vec<MultiLane> = chunk
-                .iter()
-                .map(|(t, p, k)| MultiLane {
-                    text: t,
-                    pattern: p,
-                    k_max: *k,
-                })
-                .collect();
-            window_dc_multi_into::<Dna, 4>(&lanes, &mut chunked);
-        }
-        let (chunked_issued, chunked_useful) = chunked.row_counters();
-        let chunked_occupancy = chunked_useful as f64 / chunked_issued as f64;
-
-        let mut stream = DcLaneStream::<4>::new();
-        drain_stream_against_scalar(&mut stream, &windows);
-        let (issued, useful) = stream.row_counters();
-        let occupancy = useful as f64 / issued as f64;
-        assert!(
-            occupancy > chunked_occupancy,
-            "persistent {occupancy:.3} must beat chunked {chunked_occupancy:.3}"
-        );
-        assert!(occupancy > 0.9, "steady-state occupancy: {occupancy:.3}");
-    }
-
-    #[test]
-    fn stream_recycles_rows_after_warmup() {
-        let mut stream = DcLaneStream::<4>::new();
-        let windows = ragged_windows(24, 0xABCD);
-        drain_stream_against_scalar(&mut stream, &windows);
-        drain_stream_against_scalar(&mut stream, &windows);
-        let warmed = stream.retained_rows();
-        assert!(warmed > 0);
-        for _ in 0..3 {
-            drain_stream_against_scalar(&mut stream, &windows);
-            assert_eq!(stream.retained_rows(), warmed, "warm runs must not grow");
-        }
-    }
-
-    #[test]
-    // The drain loop indexes `resolved` while the feed macro mutates
-    // lane state; a range loop is the clearest shape for that.
-    #[allow(clippy::needless_range_loop)]
-    fn distance_only_stream_matches_scalar_and_stores_nothing() {
-        let mut stream = DcLaneStream::<4>::distance_only();
-        for seed in 1..8u64 {
-            let windows = ragged_windows(29, seed * 0x51D3);
-            let mut next = 0usize;
-            let mut loaded: [Option<usize>; 4] = [None; 4];
-            let mut resolved = Vec::new();
-            let check = |stream: &DcLaneStream<4>, window: usize, lane: usize| {
-                let (text, pattern, k_max) = &windows[window];
-                let scalar = window_dc_distance::<Dna>(text, pattern, *k_max).unwrap();
-                assert_eq!(stream.outcome(lane), scalar, "window {window}");
-            };
-            macro_rules! feed {
-                ($lane:expr) => {
-                    loop {
-                        if next >= windows.len() {
-                            stream.release_lane($lane);
-                            loaded[$lane] = None;
-                            break;
-                        }
-                        let window = next;
-                        next += 1;
-                        let (text, pattern, k_max) = &windows[window];
-                        match stream.refill_lane::<Dna>($lane, text, pattern, *k_max) {
-                            Ok(LaneLoad::Pending) => {
-                                loaded[$lane] = Some(window);
-                                break;
-                            }
-                            Ok(LaneLoad::Resolved) => check(&stream, window, $lane),
-                            Err(e) => {
-                                let scalar = window_dc_distance::<Dna>(text, pattern, *k_max);
-                                assert_eq!(scalar.unwrap_err(), e, "window {window} error");
-                            }
-                        }
-                    }
-                };
-            }
-            for lane in 0..4 {
-                feed!(lane);
-            }
-            while stream.active_lanes() > 0 {
-                resolved.clear();
-                stream.step(&mut resolved);
-                for i in 0..resolved.len() {
-                    let lane = resolved[i];
-                    check(&stream, loaded[lane].expect("loaded"), lane);
-                    feed!(lane);
-                }
-            }
-            assert_eq!(next, windows.len());
-            assert_eq!(
-                stream.retained_rows(),
-                0,
-                "distance-only streams never touch the row ring"
-            );
         }
     }
 
@@ -2348,6 +1826,17 @@ mod tests {
             stream.scan_ops() > 0,
             "the d >= m exactness fallback performs a scalar scan"
         );
+    }
+
+    #[test]
+    fn occurrence_stream_handles_short_queues_and_empty_tail() {
+        // Fewer scans than lanes: most lanes idle from the start, and
+        // the tail drains with a single active lane.
+        let mut stream = DcLaneStream::<8>::occurrence_scan();
+        for count in [1usize, 2, 3, 7] {
+            let windows = ragged_windows(count, count as u64 * 131);
+            drain_occurrence_stream(&mut stream, &windows);
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! per call between a portable auto-vectorized loop, an explicit AVX2
 //! path (four `u64` lanes per 256-bit vector), and an explicit AVX-512F
 //! path (eight `u64` lanes per 512-bit vector). This module names the
-//! tier that dispatch will pick on the running host so callers — the
-//! engine's `LaneCount::Auto` width selection, the CLI's
-//! `map.simd_level` gauge, and the bench artifacts' `simd_level`
-//! field — all report the same figure, making bench trajectories
-//! comparable across hosts.
+//! widest tier that dispatch can pick on the running host so callers —
+//! the CLI's `map.simd_level` gauge and the bench artifacts'
+//! `simd_level` field — report the same figure, making bench
+//! trajectories comparable across hosts. A container takes the AVX-512F
+//! path only when its lane count is a multiple of eight, so the
+//! engine's 4-lane passes run at most AVX2.
 //!
 //! The explicit paths are compiled behind the `lockstep-avx2` feature
 //! (default on); a `--no-default-features` build reports
@@ -48,15 +49,6 @@ impl SimdLevel {
             SimdLevel::Avx512 => 2,
         }
     }
-
-    /// `u64` lanes one vector op advances at this tier.
-    pub fn vector_lanes(self) -> usize {
-        match self {
-            SimdLevel::Portable => 1,
-            SimdLevel::Avx2 => 4,
-            SimdLevel::Avx512 => 8,
-        }
-    }
 }
 
 impl std::fmt::Display for SimdLevel {
@@ -65,9 +57,9 @@ impl std::fmt::Display for SimdLevel {
     }
 }
 
-/// The tier the lock-step row kernels will dispatch to on this host:
-/// the highest explicit path that is both compiled in (`lockstep-avx2`
-/// feature) and supported by the running CPU.
+/// The widest tier the lock-step row kernels can dispatch to on this
+/// host: the highest explicit path that is both compiled in
+/// (`lockstep-avx2` feature) and supported by the running CPU.
 pub fn simd_level() -> SimdLevel {
     #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
     {
@@ -102,6 +94,5 @@ mod tests {
         assert_eq!(level, SimdLevel::Portable);
         // Whatever the tier, the derived figures must agree with it.
         assert_eq!(level.rank() == 0, level == SimdLevel::Portable);
-        assert!(level.vector_lanes().is_power_of_two());
     }
 }

@@ -220,13 +220,8 @@ pub struct WindowTraceback {
 /// machine (Algorithm 2, lines 6–30) — the traceback mirror of
 /// [`WindowWalk`](crate::align::WindowWalk).
 ///
-/// [`window_traceback`] drives a walker to completion in one call (the
-/// sequential shape); the engine's lock-step scheduler instead
-/// *collects* walkers from every window that resolved in the same DC
-/// pass and drains them back-to-back from a queue, so the per-window
-/// case checks of different jobs run batched instead of interleaved
-/// with kernel work. Both shapes execute the identical case decisions,
-/// so they cannot diverge.
+/// [`window_traceback`] drives a walker to completion in one call;
+/// [`step`](TbWalker::step) exposes the walk one case check at a time.
 #[derive(Debug, Clone)]
 pub struct TbWalker {
     /// Position of the 0 being processed (first sub-pattern char last).
@@ -328,29 +323,10 @@ impl TbWalker {
         Ok(())
     }
 
-    /// The walker's current query point, for batched case checks:
-    /// `(pattern bit, text index, remaining error budget, gap class)`.
-    /// The gap class encodes the previous operation the way the
-    /// extension cases read it: 0 = none/match/substitution, 1 = open
-    /// insertion, 2 = open deletion.
-    ///
-    /// Only meaningful while the walk is not [done](Self::is_done).
-    pub fn query(&self) -> (usize, usize, usize, usize) {
-        debug_assert!(!self.is_done(), "query on a finished walk");
-        let class = match self.prev {
-            Some(CigarOp::Ins) => 1,
-            Some(CigarOp::Del) => 2,
-            _ => 0,
-        };
-        (self.pattern_i as usize, self.text_i, self.cur_error, class)
-    }
-
     /// Emits `case`'s operation and advances the three indices
     /// (Algorithm 2 lines 25–30) — the commit half of
-    /// [`step`](Self::step), exposed so batched drains can decide the
-    /// case externally (via [`TbCaseLut`]) and apply it here. Both
-    /// paths run this exact code, so they cannot diverge.
-    pub fn apply_case(&mut self, case: TracebackCase) {
+    /// [`step`](Self::step).
+    fn apply_case(&mut self, case: TracebackCase) {
         let op = case.op();
         self.ops.push(op);
         self.prev = Some(op);
@@ -423,274 +399,6 @@ pub fn window_traceback<S: TracebackSource>(
     let mut walker = TbWalker::new(bv, edit_distance, consume_limit);
     walker.run(bv, order)?;
     Ok(walker.finish())
-}
-
-/// Whole-word access to a window's stored bitvectors, for batched case
-/// checks: where [`TracebackSource`] answers one `(bitvector, bit)`
-/// query at a time, this returns the three 64-bit words at `(i, d)` in
-/// one call so a lock-step drain can test every case of several walkers
-/// with vector shifts. Single-word sources only (`MAX_WINDOW <= 64`).
-pub trait TbWordSource: TracebackSource {
-    /// `(match, insertion, deletion)` words at text iteration `i`,
-    /// distance `d`. The `d = 0` insertion/deletion words read all-ones
-    /// (no gap is possible without an error); the substitution word is
-    /// derived as `deletion << 1` (§6) and is not returned.
-    fn tb_words(&self, i: usize, d: usize) -> (u64, u64, u64);
-}
-
-impl TbWordSource for WindowBitvectors {
-    fn tb_words(&self, i: usize, d: usize) -> (u64, u64, u64) {
-        (self.match_at(i, d), self.ins_at(i, d), self.del_at(i, d))
-    }
-}
-
-impl<S: TracebackSource + ?Sized> TracebackSource for &S {
-    fn pattern_len(&self) -> usize {
-        (**self).pattern_len()
-    }
-
-    fn text_len(&self) -> usize {
-        (**self).text_len()
-    }
-
-    fn stored_words(&self) -> usize {
-        (**self).stored_words()
-    }
-
-    fn match_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        (**self).match_bit(i, d, bit)
-    }
-
-    fn ins_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        (**self).ins_bit(i, d, bit)
-    }
-
-    fn del_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        (**self).del_bit(i, d, bit)
-    }
-
-    fn subs_bit(&self, i: usize, d: usize, bit: usize) -> bool {
-        (**self).subs_bit(i, d, bit)
-    }
-}
-
-impl<S: TbWordSource + ?Sized> TbWordSource for &S {
-    fn tb_words(&self, i: usize, d: usize) -> (u64, u64, u64) {
-        (**self).tb_words(i, d)
-    }
-}
-
-/// The case checks of one [`TracebackOrder`], compiled to a lookup
-/// table over `(gap class, candidate mask)`.
-///
-/// The candidate mask packs, for the walker's current `(i, d, bit)`,
-/// whether each bitvector holds a 0 there: bit 0 = match, bit 1 =
-/// insertion, bit 2 = deletion, bit 3 = substitution — with every bit
-/// but match forced off when `d = 0` (no case that spends an error can
-/// apply). The gap class is [`TbWalker::query`]'s third coordinate.
-/// Those six booleans are the *entire* input of Algorithm 2's case
-/// cascade, so one table lookup replaces the per-case branch chain,
-/// and the candidate masks of several walkers vectorize
-/// ([`drain_walkers_lockstep`]).
-#[derive(Debug, Clone)]
-pub struct TbCaseLut {
-    /// `table[class][mask]`: index into [`CASE_DECODE`], `0xFF` when no
-    /// case in the order applies (the walk is stuck).
-    table: [[u8; 16]; 3],
-}
-
-/// Decode table for [`TbCaseLut`] entries.
-const CASE_DECODE: [TracebackCase; 6] = [
-    TracebackCase::InsExtend,
-    TracebackCase::DelExtend,
-    TracebackCase::Match,
-    TracebackCase::Subst,
-    TracebackCase::InsOpen,
-    TracebackCase::DelOpen,
-];
-
-impl TbCaseLut {
-    /// Compiles `order` into the lookup table. Build once per
-    /// configuration; the table is immutable after.
-    pub fn new(order: &TracebackOrder) -> Self {
-        let mut table = [[0xFFu8; 16]; 3];
-        for (class, row) in table.iter_mut().enumerate() {
-            for (mask, slot) in row.iter_mut().enumerate() {
-                let match_b = mask & 1 != 0;
-                let ins_b = mask & 2 != 0;
-                let del_b = mask & 4 != 0;
-                let subs_b = mask & 8 != 0;
-                for &case in order.cases() {
-                    let applies = match case {
-                        TracebackCase::InsExtend => class == 1 && ins_b,
-                        TracebackCase::DelExtend => class == 2 && del_b,
-                        TracebackCase::Match => match_b,
-                        TracebackCase::Subst => subs_b,
-                        TracebackCase::InsOpen => ins_b,
-                        TracebackCase::DelOpen => del_b,
-                    };
-                    if applies {
-                        *slot = CASE_DECODE
-                            .iter()
-                            .position(|&c| c == case)
-                            .expect("every case decodes") as u8;
-                        break;
-                    }
-                }
-            }
-        }
-        TbCaseLut { table }
-    }
-
-    /// The first case of the order that applies at `(class, mask)`, or
-    /// `None` when the walk is stuck.
-    #[inline]
-    pub fn case(&self, class: usize, mask: u8) -> Option<TracebackCase> {
-        let entry = self.table[class][mask as usize];
-        (entry != 0xFF).then(|| CASE_DECODE[entry as usize])
-    }
-}
-
-/// The candidate mask of one walker: a set bit per bitvector holding a
-/// 0 at `bit`, gap-gated so only the match candidate survives at
-/// `d = 0`.
-#[inline]
-fn candidate_mask(match_w: u64, ins_w: u64, del_w: u64, bit: u32, gate: u64) -> u8 {
-    let m = !(match_w >> bit) & 1;
-    let i = (!(ins_w >> bit) & 1) << 1;
-    let d = (!(del_w >> bit) & 1) << 2;
-    let s = (!((del_w << 1) >> bit) & 1) << 3;
-    ((m | i | d | s) & gate) as u8
-}
-
-/// Four walkers' candidate masks in one shot: per-lane variable shifts
-/// (`vpsrlvq`) extract each walker's bit from its own words, so the
-/// sixteen case-check bit probes of a four-walker round cost four
-/// vector shifts. Bit-identical to [`candidate_mask`].
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn candidate_masks_avx2(
-    match_w: &[u64; 4],
-    ins_w: &[u64; 4],
-    del_w: &[u64; 4],
-    bits: &[u64; 4],
-    gates: &[u64; 4],
-) -> [u8; 4] {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256,
-        _mm256_set1_epi64x, _mm256_slli_epi64, _mm256_srlv_epi64, _mm256_storeu_si256,
-    };
-    let load = |w: &[u64; 4]| -> __m256i { _mm256_loadu_si256(w.as_ptr().cast::<__m256i>()) };
-    let shift = load(bits);
-    let one = _mm256_set1_epi64x(1);
-    // A candidate fires on a *clear* bit: (!(word >> bit)) & 1.
-    let m = _mm256_andnot_si256(_mm256_srlv_epi64(load(match_w), shift), one);
-    let i = _mm256_andnot_si256(_mm256_srlv_epi64(load(ins_w), shift), one);
-    let del = load(del_w);
-    let d = _mm256_andnot_si256(_mm256_srlv_epi64(del, shift), one);
-    let s = _mm256_andnot_si256(_mm256_srlv_epi64(_mm256_slli_epi64::<1>(del), shift), one);
-    let mask = _mm256_and_si256(
-        _mm256_or_si256(
-            _mm256_or_si256(m, _mm256_slli_epi64::<1>(i)),
-            _mm256_or_si256(_mm256_slli_epi64::<2>(d), _mm256_slli_epi64::<3>(s)),
-        ),
-        load(gates),
-    );
-    let mut out = [0u64; 4];
-    _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), mask);
-    [out[0] as u8, out[1] as u8, out[2] as u8, out[3] as u8]
-}
-
-/// Drains a batch of traceback walkers to completion in lock-step
-/// rounds: each round gathers every unfinished walker's query point,
-/// computes their candidate masks together (four at a time through the
-/// AVX2 path where available), decides each case with `lut`, and
-/// applies it. Case decisions and emitted operations are identical to
-/// driving each walker with [`TbWalker::run`] under the order `lut` was
-/// compiled from — the engine's drain queue lines resolved windows up
-/// back-to-back precisely so their case checks batch like this.
-///
-/// Returns one result per task, in order; a stuck walker (possible
-/// only under incomplete custom orders) fails alone with
-/// [`AlignError::ExceededErrorBudget`] and does not disturb its
-/// batch-mates.
-pub fn drain_walkers_lockstep<S: TbWordSource>(
-    tasks: &mut [(TbWalker, S)],
-    lut: &TbCaseLut,
-) -> Vec<Result<(), AlignError>> {
-    let mut results: Vec<Option<Result<(), AlignError>>> = vec![None; tasks.len()];
-    for (idx, (walker, _)) in tasks.iter().enumerate() {
-        if walker.is_done() {
-            results[idx] = Some(Ok(()));
-        }
-    }
-    let mut pending: Vec<usize> = (0..tasks.len()).filter(|&i| results[i].is_none()).collect();
-    #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-    let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-
-    let mut masks: Vec<(u8, u8)> = Vec::with_capacity(pending.len());
-    while !pending.is_empty() {
-        // Gather: candidate mask + gap class per unfinished walker.
-        masks.clear();
-        let mut chunk = pending.as_slice();
-        while !chunk.is_empty() {
-            #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-            if use_avx2 && chunk.len() >= 4 {
-                let mut match_w = [0u64; 4];
-                let mut ins_w = [0u64; 4];
-                let mut del_w = [0u64; 4];
-                let mut bits = [0u64; 4];
-                let mut gates = [0u64; 4];
-                let mut classes = [0u8; 4];
-                for (slot, &idx) in chunk[..4].iter().enumerate() {
-                    let (walker, source) = &tasks[idx];
-                    let (bit, text_i, cur_error, class) = walker.query();
-                    let (m, i, d) = source.tb_words(text_i, cur_error);
-                    match_w[slot] = m;
-                    ins_w[slot] = i;
-                    del_w[slot] = d;
-                    bits[slot] = bit as u64;
-                    gates[slot] = if cur_error > 0 { 0xF } else { 0x1 };
-                    classes[slot] = class as u8;
-                }
-                // SAFETY: AVX2 support was detected at runtime above.
-                let quad = unsafe { candidate_masks_avx2(&match_w, &ins_w, &del_w, &bits, &gates) };
-                for slot in 0..4 {
-                    masks.push((quad[slot], classes[slot]));
-                }
-                chunk = &chunk[4..];
-                continue;
-            }
-            let (walker, source) = &tasks[chunk[0]];
-            let (bit, text_i, cur_error, class) = walker.query();
-            let (m, i, d) = source.tb_words(text_i, cur_error);
-            let gate = if cur_error > 0 { 0xF } else { 0x1 };
-            masks.push((candidate_mask(m, i, d, bit as u32, gate), class as u8));
-            chunk = &chunk[1..];
-        }
-        // Apply: decide each walker's case from the LUT and commit it.
-        for (&idx, &(mask, class)) in pending.iter().zip(masks.iter()) {
-            let (walker, _) = &mut tasks[idx];
-            match lut.case(class as usize, mask) {
-                Some(case) => {
-                    walker.apply_case(case);
-                    if walker.is_done() {
-                        results[idx] = Some(Ok(()));
-                    }
-                }
-                None => {
-                    results[idx] = Some(Err(AlignError::ExceededErrorBudget {
-                        budget: walker.edit_distance(),
-                    }));
-                }
-            }
-        }
-        pending.retain(|&idx| results[idx].is_none());
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every walker drains to a result"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -843,116 +551,5 @@ mod tests {
         let order = TracebackOrder::custom(vec![TracebackCase::Match]);
         let err = window_traceback(&dc.bitvectors, d, usize::MAX, &order).unwrap_err();
         assert!(matches!(err, AlignError::ExceededErrorBudget { .. }));
-    }
-
-    /// A batch of windows with divergent lengths, distances and
-    /// consume limits, for drain tests.
-    fn drain_batch() -> Vec<(crate::dc::DcWindow, usize, usize)> {
-        let cases: [(&[u8], &[u8], usize); 6] = [
-            (b"CGTGA", b"CTGA", usize::MAX),
-            (b"GTGA", b"CTGA", usize::MAX),
-            (b"TGA", b"CTGA", usize::MAX),
-            (b"ACGGTCATGCAATTGCAGTC", b"ACGTCATGAATTGCAGTC", usize::MAX),
-            (b"ACGTACGTACGTACGT", b"ACGTACGTACGTACGT", 10),
-            (b"ACGTTTGCA", b"ACGTTGCA", usize::MAX),
-        ];
-        cases
-            .into_iter()
-            .map(|(text, pattern, limit)| {
-                let dc = window_dc::<Dna>(text, pattern, pattern.len()).unwrap();
-                let d = dc.edit_distance.unwrap();
-                (dc, d, limit)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lockstep_drain_matches_sequential_walkers() {
-        for order in [
-            TracebackOrder::affine(),
-            TracebackOrder::unit(),
-            TracebackOrder::subs_last(),
-        ] {
-            let batch = drain_batch();
-            let sequential: Vec<WindowTraceback> = batch
-                .iter()
-                .map(|(dc, d, limit)| window_traceback(&dc.bitvectors, *d, *limit, &order).unwrap())
-                .collect();
-            let mut tasks: Vec<(TbWalker, &WindowBitvectors)> = batch
-                .iter()
-                .map(|(dc, d, limit)| (TbWalker::new(&dc.bitvectors, *d, *limit), &dc.bitvectors))
-                .collect();
-            let lut = TbCaseLut::new(&order);
-            let results = drain_walkers_lockstep(&mut tasks, &lut);
-            assert!(results.iter().all(|r| r.is_ok()));
-            for ((walker, _), expected) in tasks.into_iter().zip(sequential) {
-                assert_eq!(walker.finish(), expected);
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_drain_isolates_stuck_walkers() {
-        // An order with only the match case strands any window that
-        // needs an edit; its batch-mates must drain untouched.
-        let order = TracebackOrder::custom(vec![TracebackCase::Match]);
-        let exact = window_dc::<Dna>(b"ACGTACGT", b"ACGTACGT", 8).unwrap();
-        let edited = window_dc::<Dna>(b"ACGTACGT", b"ACCTACGT", 8).unwrap();
-        let mut tasks = vec![
-            (
-                TbWalker::new(&exact.bitvectors, 0, usize::MAX),
-                &exact.bitvectors,
-            ),
-            (
-                TbWalker::new(
-                    &edited.bitvectors,
-                    edited.edit_distance.unwrap(),
-                    usize::MAX,
-                ),
-                &edited.bitvectors,
-            ),
-            (
-                TbWalker::new(&exact.bitvectors, 0, usize::MAX),
-                &exact.bitvectors,
-            ),
-        ];
-        let lut = TbCaseLut::new(&order);
-        let results = drain_walkers_lockstep(&mut tasks, &lut);
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(AlignError::ExceededErrorBudget { .. })
-        ));
-        assert!(results[2].is_ok());
-        let clean = window_traceback(&exact.bitvectors, 0, usize::MAX, &order).unwrap();
-        assert_eq!(tasks.remove(0).0.finish(), clean);
-    }
-
-    #[test]
-    fn case_lut_agrees_with_branch_cascade_exhaustively() {
-        // Every (order, class, mask, gate) cell of the LUT must decide
-        // exactly what the sequential branch cascade decides from the
-        // same four candidate booleans.
-        for order in [
-            TracebackOrder::affine(),
-            TracebackOrder::unit(),
-            TracebackOrder::subs_last(),
-            TracebackOrder::custom(vec![TracebackCase::DelOpen, TracebackCase::Match]),
-        ] {
-            let lut = TbCaseLut::new(&order);
-            for class in 0..3usize {
-                for mask in 0..16u8 {
-                    let expected = order.cases().iter().copied().find(|&case| match case {
-                        TracebackCase::InsExtend => class == 1 && mask & 2 != 0,
-                        TracebackCase::DelExtend => class == 2 && mask & 4 != 0,
-                        TracebackCase::Match => mask & 1 != 0,
-                        TracebackCase::Subst => mask & 8 != 0,
-                        TracebackCase::InsOpen => mask & 2 != 0,
-                        TracebackCase::DelOpen => mask & 4 != 0,
-                    });
-                    assert_eq!(lut.case(class, mask), expected, "class={class} mask={mask}");
-                }
-            }
-        }
     }
 }

@@ -261,91 +261,6 @@ proptest! {
         prop_assert_eq!(arena.outcomes(), fast.outcomes());
     }
 
-    /// The persistent-lane stream is bit-identical to the scalar window
-    /// kernel across ragged lane lifetimes: windows resolving at
-    /// different depths, mid-stream refills into half-drained lanes,
-    /// instant resolutions, exhausted budgets, invalid windows, and the
-    /// empty-refill-queue tail where lanes idle out one by one. Up to
-    /// 24 windows stream through 4 lanes, so lanes see many refills
-    /// and stale state from a previous window would be caught.
-    #[test]
-    fn persistent_lanes_match_scalar_window_dc(
-        windows in proptest::collection::vec(
-            (dna_seq(64), dna_seq(64), 0usize..66),
-            1..=24,
-        ),
-    ) {
-        let mut stream = DcLaneStream::<4>::new();
-        let mut next = 0usize;
-        let mut loaded = [usize::MAX; 4];
-        let mut resolved = Vec::new();
-        // Checks the resolved lane against the scalar kernel:
-        // distance, stored bitvectors, and the traceback walk.
-        fn check(stream: &DcLaneStream<4>, lane: usize, window: &(Vec<u8>, Vec<u8>, usize)) {
-            let (t, p, k) = window;
-            let scalar = window_dc::<Dna>(t, p, *k).unwrap();
-            assert_eq!(stream.outcome(lane), scalar.edit_distance);
-            let view = stream.lane(lane);
-            assert_eq!(view.rows(), scalar.bitvectors.rows());
-            for d in 0..view.rows() {
-                for i in 0..t.len() {
-                    assert_eq!(view.match_at(i, d), scalar.bitvectors.match_at(i, d));
-                    assert_eq!(view.ins_at(i, d), scalar.bitvectors.ins_at(i, d));
-                    assert_eq!(view.del_at(i, d), scalar.bitvectors.del_at(i, d));
-                }
-            }
-            if let Some(d) = scalar.edit_distance {
-                let walk_scalar = window_traceback(
-                    &scalar.bitvectors, d, usize::MAX, &TracebackOrder::affine()).unwrap();
-                let walk_lane = window_traceback(
-                    &view, d, usize::MAX, &TracebackOrder::affine()).unwrap();
-                assert_eq!(walk_scalar.ops, walk_lane.ops);
-            }
-        }
-        // Feeds a lane until it holds a pending window or the queue is
-        // dry (the lane then idles through the tail).
-        fn feed(
-            stream: &mut DcLaneStream<4>,
-            lane: usize,
-            windows: &[(Vec<u8>, Vec<u8>, usize)],
-            next: &mut usize,
-            loaded: &mut [usize; 4],
-        ) {
-            loop {
-                if *next >= windows.len() {
-                    stream.release_lane(lane);
-                    loaded[lane] = usize::MAX;
-                    return;
-                }
-                let idx = *next;
-                *next += 1;
-                let (t, p, k) = &windows[idx];
-                match stream.refill_lane::<Dna>(lane, t, p, *k) {
-                    Ok(LaneLoad::Pending) => {
-                        loaded[lane] = idx;
-                        return;
-                    }
-                    Ok(LaneLoad::Resolved) => check(stream, lane, &windows[idx]),
-                    Err(e) => {
-                        assert_eq!(window_dc::<Dna>(t, p, *k).unwrap_err(), e);
-                    }
-                }
-            }
-        }
-        for lane in 0..4 {
-            feed(&mut stream, lane, &windows, &mut next, &mut loaded);
-        }
-        while stream.active_lanes() > 0 {
-            resolved.clear();
-            stream.step(&mut resolved);
-            for &lane in &resolved {
-                check(&stream, lane, &windows[loaded[lane]]);
-                feed(&mut stream, lane, &windows, &mut next, &mut loaded);
-            }
-        }
-        prop_assert_eq!(next, windows.len(), "every window must drain");
-    }
-
     /// Batched filter decisions equal scalar decisions pair by pair.
     #[test]
     fn filter_batches_match_scalar(
@@ -446,11 +361,11 @@ fn run_occurrence_stream<const L: usize>(
             *next += 1;
             let (t, p, k) = &windows[idx];
             match stream.refill_lane::<Dna>(lane, t, p, *k) {
-                Ok(genasm_core::dc_multi::LaneLoad::Pending) => {
+                Ok(LaneLoad::Pending) => {
                     loaded[lane] = idx;
                     return;
                 }
-                Ok(genasm_core::dc_multi::LaneLoad::Resolved) => {
+                Ok(LaneLoad::Resolved) => {
                     outcomes[idx] = Some(Ok(stream.outcome(lane)));
                 }
                 Err(e) => outcomes[idx] = Some(Err(e)),

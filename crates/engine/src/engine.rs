@@ -2,18 +2,13 @@
 //! queue.
 
 use crate::job::{DistanceJob, Job, JobError, KeyedDistance, KeyedResult};
-use crate::kernel::{
-    AlignSession, DcDispatch, DistanceSession, GenAsmKernel, Kernel, KernelScratch, LaneCount,
-};
+use crate::kernel::{DcDispatch, GenAsmKernel, Kernel, KernelScratch};
 use crate::lockstep::LockstepScratch;
 use crate::obs::{WorkerObs, CHUNK_LATENCY_HISTOGRAM, JOB_LATENCY_HISTOGRAM};
 use crate::stats::{BatchOutput, BatchStats};
 use crate::stream::EngineStream;
 use genasm_core::align::{Alignment, GenAsmConfig};
-use genasm_core::error::AlignError;
 use genasm_obs::{Histogram, Telemetry};
-use std::collections::HashSet;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,7 +70,7 @@ impl CancelToken {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker threads; `0` uses the host's available parallelism.
     pub workers: usize,
@@ -88,24 +83,10 @@ pub struct EngineConfig {
     /// Configuration of the default GenASM kernel; ignored when a
     /// custom kernel is supplied via [`Engine::with_kernel`].
     pub genasm: GenAsmConfig,
-    /// DC scheduling of the default GenASM kernel (persistent
-    /// lock-step by default; results are bit-identical in every mode).
-    /// Ignored for custom kernels.
+    /// DC scheduling of the default GenASM kernel (lock-step by
+    /// default; results are bit-identical in every mode). Ignored for
+    /// custom kernels.
     pub dispatch: DcDispatch,
-    /// Lock-step lane width of the default GenASM kernel (`Auto`
-    /// resolves per SIMD tier: 16 lanes under AVX-512, 8 under AVX2,
-    /// else 4 — and always 4 for distance-only scans, whose 64-bit
-    /// state rides better on narrow registers). Ignored for custom
-    /// kernels and scalar dispatch.
-    pub lanes: LaneCount,
-    /// Cross-claim lane persistence (default `true`): when the kernel
-    /// offers a batch session ([`Kernel::align_session`]), each worker
-    /// keeps its DC lanes loaded **across** work-queue chunk claims and
-    /// drains them only once, at the end of the batch — instead of
-    /// draining every lane at every chunk boundary. Results are
-    /// bit-identical either way; `false` restores per-claim draining
-    /// (the occupancy A/B baseline).
-    pub persist_lanes: bool,
     /// Optional cancellation token / deadline. When it expires
     /// mid-batch, workers stop claiming new chunks and the batch
     /// returns partial results: unclaimed jobs come back as
@@ -113,20 +94,6 @@ pub struct EngineConfig {
     /// [`BatchStats::deadline_hit`](crate::BatchStats) is set. `None`
     /// (the default) costs nothing.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 0,
-            chunk: 0,
-            genasm: GenAsmConfig::default(),
-            dispatch: DcDispatch::default(),
-            lanes: LaneCount::default(),
-            persist_lanes: true,
-            cancel: None,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -155,21 +122,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: DcDispatch) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Sets the GenASM kernel's lock-step lane width.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: LaneCount) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Enables or disables cross-claim lane persistence (see
-    /// [`persist_lanes`](Self::persist_lanes)).
-    #[must_use]
-    pub fn with_persist_lanes(mut self, persist: bool) -> Self {
-        self.persist_lanes = persist;
         self
     }
 
@@ -234,142 +186,6 @@ struct PoolMeters {
     deadline_hit: bool,
 }
 
-/// The worker-pool face of a kernel batch session: a stateful consumer
-/// of claimed index ranges whose in-flight work survives between
-/// claims, drained once by [`finish`](Self::finish). The pool drives it
-/// like the stateless `work` closure — but through `&mut self`, so DC
-/// lanes loaded during one claim keep stepping through the next.
-trait PoolSession<R> {
-    /// Admits one claimed range and runs until the session's queue is
-    /// dry (in-flight work may remain loaded on the lanes).
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, R)>,
-    );
-
-    /// Drains every in-flight job to completion.
-    fn finish(&mut self, scratch: &mut dyn KernelScratch, produced: &mut Vec<(usize, R)>);
-}
-
-/// Adapts a kernel [`AlignSession`] to the pool: maps kernel errors
-/// into [`JobError`] and records per-claim chunk latencies.
-struct AlignPoolSession<'j> {
-    inner: Box<dyn AlignSession + 'j>,
-    buf: Vec<(usize, Result<Alignment, AlignError>)>,
-    chunk_hist: Option<Histogram>,
-}
-
-impl PoolSession<Result<Alignment, JobError>> for AlignPoolSession<'_> {
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Alignment, JobError>)>,
-    ) {
-        let t0 = Instant::now();
-        self.inner.run_range(scratch, range, &mut self.buf);
-        if let Some(h) = &self.chunk_hist {
-            h.record_duration(t0.elapsed());
-        }
-        produced.extend(
-            self.buf
-                .drain(..)
-                .map(|(i, r)| (i, r.map_err(JobError::from))),
-        );
-    }
-
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Alignment, JobError>)>,
-    ) {
-        self.inner.finish(scratch, &mut self.buf);
-        produced.extend(
-            self.buf
-                .drain(..)
-                .map(|(i, r)| (i, r.map_err(JobError::from))),
-        );
-    }
-}
-
-/// Adapts a kernel [`DistanceSession`] to the pool; the phase-1 twin
-/// of [`AlignPoolSession`].
-struct DistancePoolSession<'j> {
-    inner: Box<dyn DistanceSession + 'j>,
-    buf: Vec<(usize, Result<Option<usize>, AlignError>)>,
-    chunk_hist: Option<Histogram>,
-}
-
-impl PoolSession<Result<Option<usize>, JobError>> for DistancePoolSession<'_> {
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Option<usize>, JobError>)>,
-    ) {
-        let t0 = Instant::now();
-        self.inner.run_range(scratch, range, &mut self.buf);
-        if let Some(h) = &self.chunk_hist {
-            h.record_duration(t0.elapsed());
-        }
-        produced.extend(
-            self.buf
-                .drain(..)
-                .map(|(i, r)| (i, r.map_err(JobError::from))),
-        );
-    }
-
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Option<usize>, JobError>)>,
-    ) {
-        self.inner.finish(scratch, &mut self.buf);
-        produced.extend(
-            self.buf
-                .drain(..)
-                .map(|(i, r)| (i, r.map_err(JobError::from))),
-        );
-    }
-}
-
-/// Opens the batch alignment session for one pool worker, when the
-/// engine persists lanes and the kernel offers one.
-fn open_align_session<'j>(
-    engine: &'j Engine,
-    jobs: &'j [Job],
-    chunk_hist: &Option<Histogram>,
-) -> Option<Box<dyn PoolSession<Result<Alignment, JobError>> + 'j>> {
-    if !engine.config.persist_lanes {
-        return None;
-    }
-    let inner = engine.kernel.align_session(jobs)?;
-    Some(Box::new(AlignPoolSession {
-        inner,
-        buf: Vec::new(),
-        chunk_hist: chunk_hist.clone(),
-    }))
-}
-
-/// The phase-1 twin of [`open_align_session`].
-fn open_distance_session<'j>(
-    engine: &'j Engine,
-    jobs: &'j [DistanceJob],
-    chunk_hist: &Option<Histogram>,
-) -> Option<Box<dyn PoolSession<Result<Option<usize>, JobError>> + 'j>> {
-    if !engine.config.persist_lanes {
-        return None;
-    }
-    let inner = engine.kernel.distance_session(jobs)?;
-    Some(Box::new(DistancePoolSession {
-        inner,
-        buf: Vec::new(),
-        chunk_hist: chunk_hist.clone(),
-    }))
-}
-
 /// Counts [`JobError::Panicked`] slots in a batch's error iterator.
 fn count_poisoned<'a>(errors: impl Iterator<Item = Option<&'a JobError>>) -> u64 {
     errors.flatten().filter(|e| e.is_panic()).count() as u64
@@ -382,7 +198,7 @@ fn count_cancelled<'a>(errors: impl Iterator<Item = Option<&'a JobError>>) -> u6
 
 /// Renders a caught panic payload for [`JobError::Panicked`]; string
 /// payloads (the overwhelmingly common case) come through verbatim.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -412,11 +228,8 @@ impl Engine {
     /// An engine running the GenASM kernel from `config.genasm` under
     /// `config.dispatch`.
     pub fn new(config: EngineConfig) -> Self {
-        let kernel = Arc::new(
-            GenAsmKernel::new(config.genasm.clone())
-                .with_dispatch(config.dispatch)
-                .with_lanes(config.lanes),
-        );
+        let kernel =
+            Arc::new(GenAsmKernel::new(config.genasm.clone()).with_dispatch(config.dispatch));
         Engine {
             config,
             kernel,
@@ -434,7 +247,7 @@ impl Engine {
     }
 
     /// Attaches a telemetry handle: workers record spans
-    /// (claim/dc/tb/drain, trace tids `1 + worker`), true per-job and
+    /// (claim/dc/tb, trace tids `1 + worker`), true per-job and
     /// per-chunk latency histograms
     /// ([`JOB_LATENCY_HISTOGRAM`]/[`CHUNK_LATENCY_HISTOGRAM`]) and
     /// `engine.jobs`/`engine.batches` counters into it. The default
@@ -453,7 +266,7 @@ impl Engine {
     /// Attaches a cancellation token to an already-built engine (the
     /// builder-style twin of [`EngineConfig::with_cancel`], for
     /// callers that construct engines through a factory like the
-    /// mapper's `engine_with_lanes`).
+    /// mapper's `engine`).
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.config.cancel = Some(cancel);
@@ -569,7 +382,6 @@ impl Engine {
                     .map_err(JobError::from)
             },
             |message| Err(JobError::Panicked { message }),
-            || open_align_session(self, jobs, &chunk_hist),
         );
         let results: Vec<Result<Alignment, JobError>> = slots
             .into_iter()
@@ -600,8 +412,8 @@ impl Engine {
 
     /// **Phase 1** of the two-phase alignment path: scans every
     /// [`DistanceJob`] through the kernel's distance-only machinery (the
-    /// GenASM kernel's persistent-lane distance stream — no row
-    /// storage, no TB-SRAM) on the same worker pool and work queue as
+    /// GenASM kernel's occurrence stream — no row storage, no
+    /// TB-SRAM) on the same worker pool and work queue as
     /// [`align_batch`](Self::align_batch), returning per-job distances
     /// paired with the jobs' keys, in input order.
     ///
@@ -717,7 +529,6 @@ impl Engine {
                     .map_err(JobError::from)
             },
             |message| Err(JobError::Panicked { message }),
-            || open_distance_session(self, jobs, &chunk_hist),
         );
 
         let results: Vec<KeyedDistance> = jobs
@@ -815,28 +626,13 @@ impl Engine {
     ///   claiming; unclaimed slots come back `None` and
     ///   [`PoolMeters::deadline_hit`] is set. Claimed chunks always
     ///   run to completion — results already computed are never
-    ///   thrown away (a persistent session's in-flight lanes drain in
-    ///   its end-of-batch `finish`).
-    ///
-    /// When `open_session` yields a [`PoolSession`] (lane persistence
-    /// on, kernel offers one), each worker drives its claims through
-    /// that stateful session instead of the stateless `work` closure:
-    /// lanes stay loaded across claims and drain once per batch. A
-    /// panicking session pass falls back the same way a panicking
-    /// chunk does — the session and scratch are discarded and every
-    /// claimed-but-unproduced index re-runs one job at a time via
-    /// `solo`, then a fresh session picks up subsequent claims.
-    // The `'a` ties the sessions `open_session` hands out to the
-    // engine borrow (they hold `&'a self.kernel` state), which clippy's
-    // needless_lifetimes misreads as elidable.
-    #[allow(clippy::needless_lifetimes)]
-    fn run_pool<'a, R, W, S, P, F>(
-        &'a self,
+    ///   thrown away.
+    fn run_pool<R, W, S, P>(
+        &self,
         count: usize,
         work: W,
         solo: S,
         poisoned: P,
-        open_session: F,
     ) -> (Vec<Option<R>>, PoolMeters)
     where
         R: Send,
@@ -850,7 +646,6 @@ impl Engine {
             ) + Sync,
         S: Fn(&dyn Kernel, &mut dyn KernelScratch, usize) -> R + Sync,
         P: Fn(String) -> R + Sync,
-        F: Fn() -> Option<Box<dyn PoolSession<R> + 'a>> + Sync,
     {
         let workers = self.config.effective_workers(count);
         let mut chunk = self.config.effective_chunk(count, workers);
@@ -885,7 +680,6 @@ impl Engine {
                     let work = &work;
                     let solo = &solo;
                     let poisoned = &poisoned;
-                    let open_session = &open_session;
                     let cancel = self.config.cancel.as_ref();
                     let telemetry = &self.telemetry;
                     scope.spawn(move || {
@@ -902,7 +696,7 @@ impl Engine {
                         };
                         let mut scratch = make_scratch();
                         // Queue-access markers; the per-chunk work shows
-                        // up as the scheduler's dc/tb/drain spans.
+                        // up as the scheduler's dc/tb spans.
                         let mut claims = telemetry
                             .tracer
                             .is_enabled()
@@ -910,50 +704,6 @@ impl Engine {
                         let mut produced: Vec<(usize, R)> = Vec::new();
                         let mut busy = Duration::ZERO;
                         let mut max_job = Duration::ZERO;
-                        // The worker's persistent session, when the
-                        // batch runs one, and the ranges it has
-                        // claimed — the quarantine set should a
-                        // session pass panic with jobs in flight.
-                        let mut session = open_session();
-                        let mut claimed: Vec<Range<usize>> = Vec::new();
-                        // Solo-reruns every claimed index that has not
-                        // produced a result, on a fresh scratch — the
-                        // session panic path (in-flight lanes may span
-                        // several claims, so the whole claim history
-                        // is swept; completed indices are skipped).
-                        let quarantine =
-                            |ranges: &mut Vec<Range<usize>>,
-                             scratch: &mut Box<dyn KernelScratch>,
-                             produced: &mut Vec<(usize, R)>,
-                             busy: &mut Duration,
-                             max_job: &mut Duration| {
-                                let already: HashSet<usize> =
-                                    produced.iter().map(|(i, _)| *i).collect();
-                                for range in std::mem::take(ranges) {
-                                    for index in range {
-                                        if already.contains(&index) {
-                                            continue;
-                                        }
-                                        let t0 = Instant::now();
-                                        let retried = catch_unwind(AssertUnwindSafe(|| {
-                                            solo(kernel, scratch.as_mut(), index)
-                                        }));
-                                        let took = t0.elapsed();
-                                        *busy += took;
-                                        *max_job = (*max_job).max(took);
-                                        match retried {
-                                            Ok(result) => produced.push((index, result)),
-                                            Err(payload) => {
-                                                *scratch = make_scratch();
-                                                produced.push((
-                                                    index,
-                                                    poisoned(panic_message(payload.as_ref())),
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                            };
                         loop {
                             if cancel.is_some_and(CancelToken::expired) {
                                 cancelled.store(true, Ordering::Relaxed);
@@ -975,45 +725,6 @@ impl Engine {
                                 start as u64,
                             );
                             let end = (start + chunk).min(count);
-                            if let Some(sess) = session.as_mut() {
-                                claimed.push(start..end);
-                                let before = produced.len();
-                                let t0 = Instant::now();
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    sess.run_range(scratch.as_mut(), start..end, &mut produced)
-                                }));
-                                let took = t0.elapsed();
-                                busy += took;
-                                let landed = produced.len() - before;
-                                if landed > 0 {
-                                    // A session pass interleaves jobs,
-                                    // so the per-result mean is the
-                                    // available max_job lower bound
-                                    // (exact latencies land in the
-                                    // telemetry histogram).
-                                    max_job = max_job.max(took / landed as u32);
-                                }
-                                if outcome.is_err() {
-                                    // A panicking session pass may
-                                    // strand jobs in flight from any
-                                    // earlier claim: discard session
-                                    // and scratch, sweep the whole
-                                    // claim history one job at a time,
-                                    // and start a fresh session for
-                                    // the claims still to come.
-                                    drop(session.take());
-                                    scratch = make_scratch();
-                                    quarantine(
-                                        &mut claimed,
-                                        &mut scratch,
-                                        &mut produced,
-                                        &mut busy,
-                                        &mut max_job,
-                                    );
-                                    session = open_session();
-                                }
-                                continue;
-                            }
                             let before = produced.len();
                             let outcome = catch_unwind(AssertUnwindSafe(|| {
                                 work(
@@ -1057,33 +768,6 @@ impl Engine {
                                         }
                                     }
                                 }
-                            }
-                        }
-                        // Batch end (or cancellation): drain the
-                        // session's in-flight lanes. Claimed chunks
-                        // always run to completion, so the drain runs
-                        // even on the cancel path.
-                        if let Some(mut sess) = session.take() {
-                            let before = produced.len();
-                            let t0 = Instant::now();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                sess.finish(scratch.as_mut(), &mut produced)
-                            }));
-                            let took = t0.elapsed();
-                            busy += took;
-                            let landed = produced.len() - before;
-                            if landed > 0 {
-                                max_job = max_job.max(took / landed as u32);
-                            }
-                            if outcome.is_err() {
-                                scratch = make_scratch();
-                                quarantine(
-                                    &mut claimed,
-                                    &mut scratch,
-                                    &mut produced,
-                                    &mut busy,
-                                    &mut max_job,
-                                );
                             }
                         }
                         let lane_rows = kernel.take_lane_rows(scratch.as_mut());
@@ -1130,6 +814,7 @@ impl Engine {
 mod tests {
     use super::*;
     use genasm_core::align::GenAsmAligner;
+    use genasm_core::error::AlignError;
 
     fn jobs() -> Vec<Job> {
         let base: Vec<u8> = b"ACGGTCATTGCAGGTTACAG"
@@ -1312,23 +997,22 @@ mod tests {
     #[test]
     fn batch_stats_report_traceback_volume() {
         let jobs = jobs();
-        for dispatch in [
-            DcDispatch::Lockstep,
-            DcDispatch::Chunked,
-            DcDispatch::Scalar,
-        ] {
+        let volume = |dispatch: DcDispatch| {
             let engine = Engine::new(
                 EngineConfig::default()
                     .with_workers(2)
                     .with_dispatch(dispatch),
             );
-            let output = engine.align_batch_with_stats(&jobs);
+            let stats = engine.align_batch_with_stats(&jobs).stats;
             assert!(
-                output.stats.tb_windows > 0,
+                stats.tb_windows > 0,
                 "{dispatch:?} must count walked windows"
             );
-            assert!(output.stats.tb_rows >= output.stats.tb_windows);
-        }
+            assert!(stats.tb_rows >= stats.tb_windows);
+            (stats.tb_windows, stats.tb_rows)
+        };
+        // Both dispatches walk the identical windows.
+        assert_eq!(volume(DcDispatch::Lockstep), volume(DcDispatch::Scalar));
     }
 
     #[test]
@@ -1402,11 +1086,8 @@ mod tests {
         assert!(snapshot.histograms.is_empty());
     }
 
-    /// A kernel that panics on jobs whose pattern length matches a
-    /// trigger — deterministic, so the engine's per-job retry panics
-    /// again and quarantines exactly the triggering jobs.
     #[test]
-    fn persisted_batches_are_bit_identical_to_per_claim_and_scalar() {
+    fn lockstep_batches_match_scalar_at_every_claim_size() {
         let jobs = jobs();
         let djobs: Vec<DistanceJob> = jobs
             .iter()
@@ -1419,56 +1100,33 @@ mod tests {
         );
         let align_ref = scalar.align_batch(&jobs);
         let (dist_ref, _) = scalar.distance_batch_keyed(&djobs);
-        for persist in [true, false] {
+        // Chunks of 1, 3 and 5 cut claim boundaries through the job
+        // mix and leave ragged final claims against the 4 lanes; 0 is
+        // the auto size.
+        for chunk in [0usize, 1, 3, 5] {
             for workers in [1usize, 3] {
-                // Chunk 5 leaves ragged claims against the 4-lane
-                // streams in both persistence modes.
                 let engine = Engine::new(
                     EngineConfig::default()
                         .with_workers(workers)
-                        .with_chunk(5)
-                        .with_lanes(LaneCount::Four)
-                        .with_persist_lanes(persist),
+                        .with_chunk(chunk),
                 );
                 assert_eq!(
                     engine.align_batch(&jobs),
                     align_ref,
-                    "persist={persist} workers={workers}"
+                    "chunk={chunk} workers={workers}"
                 );
                 let (dist, _) = engine.distance_batch_keyed(&djobs);
-                for (got, want) in dist.iter().zip(&dist_ref) {
-                    assert_eq!(got.key, want.key);
-                    assert_eq!(
-                        got.result, want.result,
-                        "persist={persist} workers={workers}"
-                    );
-                }
+                assert_eq!(dist, dist_ref, "chunk={chunk} workers={workers}");
             }
         }
     }
 
-    #[test]
-    fn lane_persistence_lifts_occupancy_across_claims() {
-        let jobs = jobs();
-        let base = EngineConfig::default()
-            .with_workers(1)
-            .with_chunk(4)
-            .with_lanes(LaneCount::Four);
-        let persisted = Engine::new(base.clone()).align_batch_with_stats(&jobs);
-        let drained = Engine::new(base.with_persist_lanes(false)).align_batch_with_stats(&jobs);
-        assert_eq!(persisted.results, drained.results);
-        let occupancy = |stats: &BatchStats| {
-            assert!(stats.dc_rows_issued > 0);
-            stats.dc_rows_useful as f64 / stats.dc_rows_issued as f64
-        };
-        let with = occupancy(&persisted.stats);
-        let without = occupancy(&drained.stats);
-        assert!(
-            with > without,
-            "cross-claim occupancy {with:.3} must beat per-claim draining {without:.3}"
-        );
-    }
-
+    /// A kernel that panics on jobs whose pattern length matches a
+    /// trigger — deterministic, so the engine's per-job retry panics
+    /// again and quarantines exactly the triggering jobs. Its batched
+    /// path checks the whole chunk before handing it to the lock-step
+    /// scheduler, so a poisoned chunk takes the engine's chunk-panic
+    /// path on the default dispatch.
     struct PanickyKernel {
         inner: GenAsmKernel,
         trigger_len: usize,
@@ -1486,13 +1144,30 @@ mod tests {
             text: &[u8],
             pattern: &[u8],
             scratch: &mut dyn KernelScratch,
-        ) -> Result<Alignment, genasm_core::error::AlignError> {
+        ) -> Result<Alignment, AlignError> {
             assert!(
                 pattern.len() != self.trigger_len,
                 "injected test panic (len {})",
                 pattern.len()
             );
             self.inner.align(text, pattern, scratch)
+        }
+        fn align_chunk(
+            &self,
+            jobs: &[Job],
+            scratch: &mut dyn KernelScratch,
+        ) -> Option<Vec<Result<Alignment, AlignError>>> {
+            for job in jobs {
+                assert!(
+                    job.pattern.len() != self.trigger_len,
+                    "injected test panic (len {})",
+                    job.pattern.len()
+                );
+            }
+            self.inner.align_chunk(jobs, scratch)
+        }
+        fn preferred_chunk(&self) -> usize {
+            self.inner.preferred_chunk()
         }
     }
 
@@ -1559,131 +1234,6 @@ mod tests {
             // serving after poisoned batches.
             let again = engine.align_batch_with_stats(&jobs);
             assert_eq!(again.stats.jobs_poisoned, triggered.len() as u64);
-        }
-    }
-
-    /// A kernel whose *persistent session* panics when a claim admits
-    /// the trigger job — with jobs from earlier claims still in flight
-    /// on the lanes — while its solo path panics only on the trigger
-    /// job itself. Exercises the session quarantine sweep.
-    struct PanickySessionKernel {
-        inner: GenAsmKernel,
-        trigger_len: usize,
-    }
-
-    struct PanickySessionGuard<'j> {
-        inner: Box<dyn crate::kernel::AlignSession + 'j>,
-        jobs: &'j [Job],
-        trigger_len: usize,
-    }
-
-    impl crate::kernel::AlignSession for PanickySessionGuard<'_> {
-        fn run_range(
-            &mut self,
-            scratch: &mut dyn KernelScratch,
-            range: Range<usize>,
-            produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-        ) {
-            for idx in range.clone() {
-                assert!(
-                    self.jobs[idx].pattern.len() != self.trigger_len,
-                    "injected test panic (len {})",
-                    self.jobs[idx].pattern.len()
-                );
-            }
-            self.inner.run_range(scratch, range, produced);
-        }
-
-        fn finish(
-            &mut self,
-            scratch: &mut dyn KernelScratch,
-            produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-        ) {
-            self.inner.finish(scratch, produced);
-        }
-    }
-
-    impl Kernel for PanickySessionKernel {
-        fn name(&self) -> &'static str {
-            "panicky-session"
-        }
-        fn new_scratch(&self) -> Box<dyn KernelScratch> {
-            self.inner.new_scratch()
-        }
-        fn align(
-            &self,
-            text: &[u8],
-            pattern: &[u8],
-            scratch: &mut dyn KernelScratch,
-        ) -> Result<Alignment, genasm_core::error::AlignError> {
-            assert!(
-                pattern.len() != self.trigger_len,
-                "injected test panic (len {})",
-                pattern.len()
-            );
-            self.inner.align(text, pattern, scratch)
-        }
-        fn align_session<'j>(
-            &'j self,
-            jobs: &'j [Job],
-        ) -> Option<Box<dyn crate::kernel::AlignSession + 'j>> {
-            let inner = self.inner.align_session(jobs)?;
-            Some(Box::new(PanickySessionGuard {
-                inner,
-                jobs,
-                trigger_len: self.trigger_len,
-            }))
-        }
-    }
-
-    #[test]
-    fn session_panics_quarantine_only_their_own_jobs() {
-        silence_injected_panics();
-        let jobs = jobs();
-        // Job index 17 (80 + (17 * 13) % 300 = 301): the panic lands a
-        // few claims in, with earlier claims' jobs persisted in flight.
-        let trigger_len = 301;
-        let triggered: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.pattern.len() == trigger_len)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(triggered.len(), 1, "trigger must hit exactly one job");
-        let clean = Engine::new(EngineConfig::default().with_workers(3));
-        let expected = clean.align_batch(&jobs);
-        for workers in [1usize, 3] {
-            let engine = Engine::with_kernel(
-                EngineConfig::default().with_workers(workers).with_chunk(6),
-                Arc::new(PanickySessionKernel {
-                    inner: GenAsmKernel::new(GenAsmConfig::default()),
-                    trigger_len,
-                }),
-            );
-            let output = engine.align_batch_with_stats(&jobs);
-            assert_eq!(output.stats.jobs_poisoned, triggered.len() as u64);
-            for (i, result) in output.results.iter().enumerate() {
-                if triggered.contains(&i) {
-                    match result {
-                        Err(JobError::Panicked { message }) => {
-                            assert!(message.contains("injected test panic"), "{message}");
-                        }
-                        other => panic!("job {i} should be poisoned, got {other:?}"),
-                    }
-                } else {
-                    assert_eq!(
-                        result, &expected[i],
-                        "workers={workers}: job {i} must survive its session's panic"
-                    );
-                }
-            }
-            // A fresh session serves the next batch.
-            let again = engine.align_batch_with_stats(&jobs);
-            assert_eq!(again.stats.jobs_poisoned, triggered.len() as u64);
-            assert_eq!(
-                again.results.iter().filter(|r| r.is_ok()).count(),
-                jobs.len() - 1
-            );
         }
     }
 

@@ -8,84 +8,26 @@
 //! harness.
 
 use crate::job::{DistanceJob, Job};
-use crate::lockstep::{self, LockstepScratch};
+use crate::lockstep::{self, LockstepScratch, LANES};
 use genasm_baselines::gotoh::{GotohAligner, GotohMode};
 use genasm_core::align::{AlignArena, Alignment, GenAsmAligner, GenAsmConfig};
 use genasm_core::error::AlignError;
 use genasm_core::scoring::Scoring;
-use genasm_core::simd::{simd_level, SimdLevel};
 use std::any::Any;
-use std::ops::Range;
 
 /// How the GenASM kernel schedules its GenASM-DC work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DcDispatch {
     /// One window at a time per worker — the paper's Algorithm 2 run
-    /// sequentially. The reference path every other mode is tested
-    /// against.
+    /// sequentially. The reference path every identity test targets.
     Scalar,
-    /// The chunk-granularity lock-step scheduler (the PR 2 shape):
-    /// each lock-step batch runs until its deepest window resolves, so
-    /// early-resolving lanes idle. Kept as the persistent scheduler's
-    /// A/B baseline.
-    Chunked,
-    /// The persistent-lane streaming scheduler: lanes advance
-    /// independent windows at their own depths and are refilled the
-    /// moment they resolve (bit-identical results; see
-    /// [`lockstep`](crate::lockstep)). The engine default.
+    /// The lock-step schedulers of [`lockstep`](crate::lockstep): full
+    /// alignments advance up to four windows per DC pass, and
+    /// distance-only scans stream pattern blocks through the
+    /// persistent-lane occurrence stream (bit-identical results). The
+    /// engine default.
     #[default]
     Lockstep,
-}
-
-/// How many `u64` lanes the lock-step schedulers run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum LaneCount {
-    /// Picks the width per execution mode from the detected SIMD tier
-    /// ([`simd_level`]). Full-mode (DC + TB) scheduling scales with the
-    /// vector width — 16 lanes on AVX-512, 8 on AVX2, 4 portable —
-    /// because persistent refill keeps wide configurations from losing
-    /// rows to divergent window distances. Distance-only scans resolve
-    /// to 4 lanes regardless of tier: phase-1 lanes resolve in a
-    /// handful of rows, so wider streams pay more refill latency per
-    /// useful row than the vector width buys back (measured in
-    /// `BENCH_dc_multi.json`'s distance-only legs).
-    #[default]
-    Auto,
-    /// Always 4 lanes (one 256-bit vector per step).
-    Four,
-    /// Always 8 lanes (two 256-bit vectors per step).
-    Eight,
-    /// Always 16 lanes (two 512-bit vectors per step on AVX-512, four
-    /// 256-bit vectors on AVX2).
-    Sixteen,
-}
-
-impl LaneCount {
-    /// The concrete lane width this selection resolves to on this host
-    /// for **full-mode** (DC + TB) lock-step scheduling.
-    pub fn resolve(self) -> usize {
-        match self {
-            LaneCount::Four => 4,
-            LaneCount::Eight => 8,
-            LaneCount::Sixteen => 16,
-            LaneCount::Auto => match simd_level() {
-                SimdLevel::Avx512 => 16,
-                SimdLevel::Avx2 => 8,
-                SimdLevel::Portable => 4,
-            },
-        }
-    }
-
-    /// The concrete lane width this selection resolves to for
-    /// **distance-only** (phase-1) scans: explicit widths are honored,
-    /// `Auto` always picks 4 (see [`LaneCount::Auto`]).
-    pub fn resolve_distance(self) -> usize {
-        match self {
-            LaneCount::Four | LaneCount::Auto => 4,
-            LaneCount::Eight => 8,
-            LaneCount::Sixteen => 16,
-        }
-    }
 }
 
 /// Per-worker mutable state a kernel wants carried between jobs
@@ -116,58 +58,6 @@ impl KernelScratch for NoScratch {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// A cross-claim alignment session: lock-step lanes that **persist
-/// across work-queue chunk claims**. The engine opens one session per
-/// worker per batch (when the kernel offers one and
-/// [`EngineConfig::persist_lanes`](crate::EngineConfig) is set), feeds
-/// it every claimed index range, and drains the surviving lanes once —
-/// at batch end — instead of once per claim. Results stream out of
-/// `produced` as `(batch index, result)` pairs in resolution order;
-/// every index ever passed to [`run_range`](Self::run_range) is
-/// produced by the time [`finish`](Self::finish) returns.
-///
-/// Sessions never hold the worker's scratch: it is passed into each
-/// call, so the engine can rebuild scratch (and drop the session)
-/// when a claim panics without fighting a stored borrow.
-pub trait AlignSession {
-    /// Queues `range` and advances the lanes while queued work remains,
-    /// leaving in-flight windows loaded for the next claim.
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-    );
-
-    /// Drains every lane still in flight; after this returns all queued
-    /// indices have been produced.
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-    );
-}
-
-/// The distance-only (phase-1) twin of [`AlignSession`]: persistent
-/// occurrence-scan lanes surviving chunk claims, with the same
-/// queue/drain contract.
-pub trait DistanceSession {
-    /// Queues `range` and advances the lanes while queued work remains.
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    );
-
-    /// Drains every lane still in flight.
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    );
 }
 
 /// An alignment computation the engine can schedule.
@@ -234,7 +124,7 @@ pub trait Kernel: Send + Sync {
 
     /// Scans a whole chunk of distance jobs in one call when the
     /// kernel has a batched distance scheduler (the GenASM kernel's
-    /// persistent-lane distance-only stream); `None` tells the engine
+    /// occurrence stream); `None` tells the engine
     /// to fall back to per-job [`distance`](Self::distance) calls.
     /// Implementations must return one result per job, in job order,
     /// identical to per-job scanning.
@@ -244,28 +134,6 @@ pub trait Kernel: Send + Sync {
         scratch: &mut dyn KernelScratch,
     ) -> Option<Vec<Result<Option<usize>, AlignError>>> {
         let _ = (jobs, scratch);
-        None
-    }
-
-    /// Opens a cross-claim alignment session over `jobs` (the whole
-    /// batch; the engine feeds claimed index ranges into it), or `None`
-    /// when the kernel has no persistent-lane scheduler — the engine
-    /// then falls back to per-claim [`align_chunk`](Self::align_chunk)
-    /// calls. Sessions must produce results bit-identical to per-claim
-    /// scheduling.
-    fn align_session<'j>(&'j self, jobs: &'j [Job]) -> Option<Box<dyn AlignSession + 'j>> {
-        let _ = jobs;
-        None
-    }
-
-    /// Opens a cross-claim distance session over `jobs`, or `None` to
-    /// fall back to per-claim [`distance_chunk`](Self::distance_chunk)
-    /// calls.
-    fn distance_session<'j>(
-        &'j self,
-        jobs: &'j [DistanceJob],
-    ) -> Option<Box<dyn DistanceSession + 'j>> {
-        let _ = jobs;
         None
     }
 
@@ -302,24 +170,20 @@ pub trait Kernel: Send + Sync {
 }
 
 /// The GenASM windowed aligner (DC + TB) with per-worker arena reuse,
-/// scheduling its DC work per [`DcDispatch`] at a [`LaneCount`]-chosen
-/// lane width.
+/// scheduling its DC work per [`DcDispatch`].
 #[derive(Debug, Clone)]
 pub struct GenAsmKernel {
     aligner: GenAsmAligner,
     dispatch: DcDispatch,
-    lanes: LaneCount,
 }
 
 impl GenAsmKernel {
     /// A kernel running the given aligner configuration under the
-    /// default (persistent lock-step) dispatch at the auto-detected
-    /// lane width.
+    /// default (lock-step) dispatch.
     pub fn new(config: GenAsmConfig) -> Self {
         GenAsmKernel {
             aligner: GenAsmAligner::new(config),
             dispatch: DcDispatch::default(),
-            lanes: LaneCount::default(),
         }
     }
 
@@ -327,13 +191,6 @@ impl GenAsmKernel {
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: DcDispatch) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Selects the lock-step lane width.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: LaneCount) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -345,19 +202,6 @@ impl GenAsmKernel {
     /// The kernel's DC dispatch mode.
     pub fn dispatch(&self) -> DcDispatch {
         self.dispatch
-    }
-
-    /// The concrete lane width the kernel's full-mode lock-step
-    /// schedulers run.
-    pub fn lane_width(&self) -> usize {
-        self.lanes.resolve()
-    }
-
-    /// The concrete lane width the kernel's distance-only streams run
-    /// (`Auto` picks 4 here regardless of SIMD tier; see
-    /// [`LaneCount::resolve_distance`]).
-    pub fn distance_lane_width(&self) -> usize {
-        self.lanes.resolve_distance()
     }
 }
 
@@ -371,7 +215,6 @@ impl Kernel for GenAsmKernel {
     fn name(&self) -> &'static str {
         match self.dispatch {
             DcDispatch::Scalar => "genasm",
-            DcDispatch::Chunked => "genasm-chunked",
             DcDispatch::Lockstep => "genasm-lockstep",
         }
     }
@@ -422,33 +265,14 @@ impl Kernel for GenAsmKernel {
             .as_any_mut()
             .downcast_mut::<LockstepScratch>()
             .expect("lock-step dispatch requires LockstepScratch");
-        let config = self.aligner.config();
-        let LockstepScratch {
-            stream4,
-            stream8,
-            stream16,
-            multi4,
-            multi8,
-            multi16,
-            scalar,
-            tb,
-            obs,
-            ..
-        } = ls;
-        Some(match (self.dispatch, self.lane_width()) {
-            (DcDispatch::Chunked, 16) => {
-                lockstep::align_chunk_chunked(config, jobs, multi16, scalar, tb, obs)
-            }
-            (DcDispatch::Chunked, 8) => {
-                lockstep::align_chunk_chunked(config, jobs, multi8, scalar, tb, obs)
-            }
-            (DcDispatch::Chunked, _) => {
-                lockstep::align_chunk_chunked(config, jobs, multi4, scalar, tb, obs)
-            }
-            (_, 16) => lockstep::align_chunk_streaming(config, jobs, stream16, scalar, tb, obs),
-            (_, 8) => lockstep::align_chunk_streaming(config, jobs, stream8, scalar, tb, obs),
-            (_, _) => lockstep::align_chunk_streaming(config, jobs, stream4, scalar, tb, obs),
-        })
+        Some(lockstep::align_chunk_chunked(
+            self.aligner.config(),
+            jobs,
+            &mut ls.multi,
+            &mut ls.scalar,
+            &mut ls.tb,
+            &mut ls.obs,
+        ))
     }
 
     fn distance(
@@ -468,10 +292,8 @@ impl Kernel for GenAsmKernel {
         }
     }
 
-    // Phase-1 scans have no chunk-granularity variant: both lock-step
-    // dispatches run the persistent-lane occurrence stream (DcDispatch
-    // selects the *full-mode* scheduler only), and scalar dispatch
-    // falls back to the per-job block metric.
+    // Lock-step dispatch runs phase-1 scans on the occurrence stream;
+    // scalar dispatch falls back to the per-job block metric.
     fn distance_chunk(
         &self,
         jobs: &[DistanceJob],
@@ -488,54 +310,18 @@ impl Kernel for GenAsmKernel {
         if let Some(o) = ls.obs.as_mut() {
             o.spans.begin("dc");
         }
-        let results = match self.distance_lane_width() {
-            16 => lockstep::distance_chunk_streaming(jobs, &mut ls.dstream16),
-            8 => lockstep::distance_chunk_streaming(jobs, &mut ls.dstream8),
-            _ => lockstep::distance_chunk_streaming(jobs, &mut ls.dstream4),
-        };
+        let results = lockstep::distance_chunk_streaming(jobs, &mut ls.occurrence);
         if let Some(o) = ls.obs.as_mut() {
             o.spans.end("dc");
         }
         Some(results)
     }
 
-    fn align_session<'j>(&'j self, jobs: &'j [Job]) -> Option<Box<dyn AlignSession + 'j>> {
-        // Persistent sessions are the streaming scheduler's shape;
-        // chunked and scalar dispatch keep per-claim scheduling (the
-        // A/B baselines), as do configs outside the lock-step domain.
-        if self.dispatch != DcDispatch::Lockstep || !lockstep::lockstep_eligible(self.config()) {
-            return None;
-        }
-        let config = self.aligner.config();
-        Some(match self.lane_width() {
-            16 => Box::new(lockstep::StreamSession::<16>::new(config, jobs)),
-            8 => Box::new(lockstep::StreamSession::<8>::new(config, jobs)),
-            _ => Box::new(lockstep::StreamSession::<4>::new(config, jobs)),
-        })
-    }
-
-    fn distance_session<'j>(
-        &'j self,
-        jobs: &'j [DistanceJob],
-    ) -> Option<Box<dyn DistanceSession + 'j>> {
-        if self.dispatch == DcDispatch::Scalar {
-            return None;
-        }
-        Some(match self.distance_lane_width() {
-            16 => Box::new(lockstep::DistanceStreamSession::<16>::new(jobs)),
-            8 => Box::new(lockstep::DistanceStreamSession::<8>::new(jobs)),
-            _ => Box::new(lockstep::DistanceStreamSession::<4>::new(jobs)),
-        })
-    }
-
     fn preferred_chunk(&self) -> usize {
         match self.dispatch {
             DcDispatch::Scalar => 1,
-            // The chunked scheduler fills one lock-step batch per pass.
-            DcDispatch::Chunked => self.lane_width(),
-            // Persistent lanes amortize their drain tail over the
-            // chunk, so claim several batches' worth per queue access.
-            DcDispatch::Lockstep => 4 * self.lane_width(),
+            // One claim fills a lock-step pass.
+            DcDispatch::Lockstep => LANES,
         }
     }
 

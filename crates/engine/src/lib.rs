@@ -10,18 +10,16 @@
 //!   region, read) out over a scoped worker pool. Workers claim work
 //!   in chunks from a lock-free atomic cursor, so there is no queue
 //!   lock on the hot path.
-//! * Within a worker, the default [`DcDispatch::Lockstep`] mode keeps
-//!   a persistent lane per SIMD slot (4, or 8 under AVX2 — see
-//!   [`LaneCount`]) and streams jobs' window walks through them: each
-//!   lane advances an independent window at its own depth and is
-//!   refilled the moment it resolves ([`lockstep`],
-//!   [`genasm_core::dc_multi`]) — the software shape of the pipelined
-//!   PEs' in-flight window pool. [`DcDispatch::Chunked`] keeps the
-//!   chunk-granularity scheduler as an A/B baseline and
-//!   [`DcDispatch::Scalar`] the one-window-at-a-time reference path;
-//!   all three produce bit-identical results, and
-//!   [`BatchStats::lane_occupancy`] reports the row-slot waste each
-//!   mode incurs.
+//! * Within a worker, the default [`DcDispatch::Lockstep`] mode runs
+//!   one lock-step scheduler per execution mode at four lanes
+//!   ([`lockstep`], [`genasm_core::dc_multi`]): full alignments gather
+//!   each in-flight job's next window into one multi-lane DC pass, and
+//!   distance-only scans stream pattern blocks through lanes that
+//!   refill the moment they resolve — the software shape of the
+//!   pipelined PEs' in-flight window pool. [`DcDispatch::Scalar`] is
+//!   the one-window-at-a-time reference path; both produce
+//!   bit-identical results, and [`BatchStats::lane_occupancy`] reports
+//!   the row-slot waste of the lock-step passes.
 //! * Each worker owns a reusable [`AlignArena`](genasm_core::AlignArena)
 //!   (kernel scratch), so the GenASM-DC bitvector storage — the
 //!   dominant allocation of an alignment — is recycled across jobs and
@@ -73,10 +71,7 @@ pub mod stream;
 
 pub use engine::{CancelToken, Engine, EngineConfig};
 pub use job::{DistanceJob, Job, JobError, KeyedDistance, KeyedResult};
-pub use kernel::{
-    AlignSession, DcDispatch, DistanceSession, GenAsmKernel, GotohKernel, Kernel, KernelScratch,
-    LaneCount,
-};
+pub use kernel::{DcDispatch, GenAsmKernel, GotohKernel, Kernel, KernelScratch};
 pub use lockstep::LockstepScratch;
 pub use obs::WorkerObs;
 pub use stats::{lane_occupancy_ratio, BatchOutput, BatchStats};

@@ -3,25 +3,24 @@
 //!
 //! The scalar engine path keeps one alignment in flight per worker; the
 //! GenASM hardware instead keeps *many* windows in flight at once (§7).
-//! Two schedulers reproduce that shape in software, both bit-identical
-//! to [`GenAsmAligner::align`](genasm_core::GenAsmAligner::align) —
-//! scheduling only changes *when* windows are computed, never *what*:
+//! Two schedulers reproduce that shape in software, one per execution
+//! mode, both at [`LANES`] lanes:
 //!
-//! * **Chunked** ([`align_chunk_chunked`], the PR 2 scheduler, kept as
-//!   the A/B baseline): gathers each in-flight walk's next ready window
-//!   into one lock-step batch and runs the batch to completion through
-//!   [`window_dc_multi_into`]. Every batch runs until its *deepest*
-//!   window resolves, so lanes whose windows resolved early idle —
-//!   measured on this host, ~30% of lock-step row slots are wasted on
-//!   divergent window distances.
-//! * **Persistent** ([`align_chunk_streaming`], the default): drives a
-//!   [`DcLaneStream`] whose lanes each advance at their own depth, and
-//!   refills a lane with the next ready window *the moment it
-//!   resolves* — drawn from a rolling queue over every in-flight
-//!   [`WindowWalk`] in the worker's claimed job range, not just the
-//!   `L` currently on lanes. No lane ever waits for a deeper
-//!   neighbour, so row-slot occupancy stays near 1 until the tail
-//!   drains.
+//! * **Full mode** ([`align_chunk_chunked`], DC + TB): gathers each
+//!   in-flight walk's next ready window into one lock-step batch and
+//!   runs the batch through [`window_dc_multi_into`]; a walk that
+//!   finishes hands its lane to the chunk's next job. Each pass runs
+//!   until its *deepest* window resolves, so lanes whose windows
+//!   resolved early idle for the rest of the pass —
+//!   [`BatchStats::lane_occupancy`](crate::BatchStats::lane_occupancy)
+//!   reports that waste. Results are bit-identical to
+//!   [`GenAsmAligner::align`](genasm_core::GenAsmAligner::align):
+//!   scheduling only changes *when* windows are computed, never
+//!   *what*.
+//! * **Distance-only mode** ([`distance_chunk_streaming`], phase 1):
+//!   every job's 64-character pattern blocks stream through a
+//!   [`DcLaneStream`] occurrence scan whose lanes advance at their own
+//!   depths and refill the moment they resolve.
 //!
 //! Configurations outside the lock-step kernels' domain (wide windows,
 //! the SENE kernel, global mode) and stragglers (a walk that reaches a
@@ -29,7 +28,6 @@
 //! on the same arena-backed kernels.
 
 use crate::job::{DistanceJob, Job};
-use crate::kernel::{AlignSession, DistanceSession, KernelScratch};
 use crate::obs::{retire_job, stamp_job, WorkerObs};
 use genasm_core::align::{
     block_occurrence_distance_into, drive_window_walk, AlignArena, Alignment, AlignmentMode,
@@ -37,20 +35,15 @@ use genasm_core::align::{
 };
 use genasm_core::alphabet::Dna;
 use genasm_core::dc::MAX_WINDOW;
-use genasm_core::dc_multi::StreamLaneBitvectors;
 use genasm_core::dc_multi::{
     window_dc_multi_into, DcLaneStream, LaneLoad, MultiDcArena, MultiLane, DEFAULT_LANES,
 };
 use genasm_core::error::AlignError;
-use genasm_core::tb::{drain_walkers_lockstep, TbCaseLut, TbWalker, TracebackSource};
-use std::any::Any;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::time::Instant;
 
-/// Windows processed per lock-step DC pass under the default (4-lane)
-/// configuration; see [`LaneCount`](crate::kernel::LaneCount) for the
-/// 8-lane AVX2 configuration.
+/// Lanes of every lock-step pass: four `u64` lanes fill one 256-bit
+/// AVX2 vector.
 pub const LANES: usize = DEFAULT_LANES;
 
 /// Traceback accounting a worker accumulates across jobs: windows
@@ -79,24 +72,15 @@ impl TbCounters {
     }
 }
 
-/// Per-worker scratch of the lock-step GenASM kernel: persistent-lane
-/// streams and chunked arenas at both supported lane widths (full mode
-/// plus the distance-only streams the two-phase mapper's phase 1
-/// runs), a scalar arena for fallbacks, and the worker's traceback
-/// counters — all recycled across jobs, so a warmed-up worker
-/// allocates nothing in the DC hot loop. Only the width the kernel's
-/// lane configuration selects ever grows; the other stays empty.
+/// Per-worker scratch of the lock-step GenASM kernel: the full-mode
+/// lock-step arena, the distance-only occurrence stream, a scalar
+/// arena for fallbacks, and the worker's traceback counters — all
+/// recycled across jobs, so a warmed-up worker allocates nothing in
+/// the DC hot loop.
 #[derive(Debug)]
 pub struct LockstepScratch {
-    pub(crate) stream4: DcLaneStream<4>,
-    pub(crate) stream8: DcLaneStream<8>,
-    pub(crate) stream16: DcLaneStream<16>,
-    pub(crate) multi4: MultiDcArena<4>,
-    pub(crate) multi8: MultiDcArena<8>,
-    pub(crate) multi16: MultiDcArena<16>,
-    pub(crate) dstream4: DcLaneStream<4>,
-    pub(crate) dstream8: DcLaneStream<8>,
-    pub(crate) dstream16: DcLaneStream<16>,
+    pub(crate) multi: MultiDcArena<LANES>,
+    pub(crate) occurrence: DcLaneStream<LANES>,
     pub(crate) scalar: AlignArena,
     pub(crate) tb: TbCounters,
     /// Per-worker telemetry installed by the engine when its
@@ -109,15 +93,8 @@ pub struct LockstepScratch {
 impl Default for LockstepScratch {
     fn default() -> Self {
         LockstepScratch {
-            stream4: DcLaneStream::new(),
-            stream8: DcLaneStream::new(),
-            stream16: DcLaneStream::new(),
-            multi4: MultiDcArena::new(),
-            multi8: MultiDcArena::new(),
-            multi16: MultiDcArena::new(),
-            dstream4: DcLaneStream::occurrence_scan(),
-            dstream8: DcLaneStream::occurrence_scan(),
-            dstream16: DcLaneStream::occurrence_scan(),
+            multi: MultiDcArena::new(),
+            occurrence: DcLaneStream::occurrence_scan(),
             scalar: AlignArena::new(),
             tb: TbCounters::default(),
             obs: None,
@@ -127,43 +104,12 @@ impl Default for LockstepScratch {
 
 impl LockstepScratch {
     /// Returns and resets the lock-step row-slot counters accumulated
-    /// by every scheduler this scratch has run: `(issued, useful)`.
+    /// by both schedulers: `(issued, useful)`.
     pub fn take_row_counters(&mut self) -> (u64, u64) {
-        let parts = [
-            self.stream4.take_row_counters(),
-            self.stream8.take_row_counters(),
-            self.stream16.take_row_counters(),
-            self.multi4.take_row_counters(),
-            self.multi8.take_row_counters(),
-            self.multi16.take_row_counters(),
-            self.dstream4.take_row_counters(),
-            self.dstream8.take_row_counters(),
-            self.dstream16.take_row_counters(),
-        ];
-        parts
-            .iter()
-            .fold((0, 0), |(i, u), &(pi, pu)| (i + pi, u + pu))
+        let (mi, mu) = self.multi.take_row_counters();
+        let (oi, ou) = self.occurrence.take_row_counters();
+        (mi + oi, mu + ou)
     }
-}
-
-/// Selects the `L`-lane member out of a scratch's width-monomorphized
-/// stream triple. The widths unify through `Any` — when `L` matches a
-/// member's width the downcast is the identity, and the `match` makes
-/// any unsupported width an immediate panic instead of a type error.
-fn stream_for<'a, const L: usize>(
-    s4: &'a mut DcLaneStream<4>,
-    s8: &'a mut DcLaneStream<8>,
-    s16: &'a mut DcLaneStream<16>,
-) -> &'a mut DcLaneStream<L> {
-    let picked: &mut dyn Any = match L {
-        4 => s4,
-        8 => s8,
-        16 => s16,
-        _ => panic!("unsupported lane width {L}"),
-    };
-    picked
-        .downcast_mut::<DcLaneStream<L>>()
-        .expect("lane width L selects the matching stream")
 }
 
 /// Whether a configuration can run on the lock-step kernels: semiglobal
@@ -203,401 +149,8 @@ struct Active<'j> {
     started: Option<Instant>,
 }
 
-/// One traceback waiting in the drain queue: the lane whose window
-/// resolved and the [`TbWalker`] positioned at its distance.
-struct TbTask {
-    lane: usize,
-    walker: TbWalker,
-}
-
-/// The persistent-lane streaming scheduler state for one scheduling
-/// pass, bundled so the feed/resolve steps can be methods instead of
-/// functions with eight parameters. The job queue, lane slots and
-/// output vector are *borrowed* — a [`StreamSession`] owns them across
-/// work-queue claims (so lanes persist between claims), while the
-/// per-chunk [`align_chunk_streaming`] owns them on its stack.
-struct StreamRun<'j, 's, const L: usize> {
-    config: &'j GenAsmConfig,
-    jobs: &'j [Job],
-    stream: &'s mut DcLaneStream<L>,
-    scalar: &'s mut AlignArena,
-    tb: &'s mut TbCounters,
-    obs: &'s mut Option<WorkerObs>,
-    slots: &'s mut Vec<Option<Active<'j>>>,
-    /// The rolling ready queue of job indices not yet pulled onto a
-    /// lane. Indices are batch-global; results come back tagged.
-    queue: &'s mut VecDeque<usize>,
-    /// Resolved jobs, in resolution order: `(index, result)`.
-    out: &'s mut Vec<(usize, Result<Alignment, AlignError>)>,
-    /// The configured traceback order compiled to a case LUT, so the
-    /// drain queue's walkers batch their case checks in lock step.
-    lut: &'s TbCaseLut,
-    /// `true` drains every in-flight lane before returning (chunk
-    /// scheduling, session finish); `false` stops stepping the moment
-    /// the queue runs dry, leaving lanes loaded for the next claim.
-    drain: bool,
-    /// When tracing a draining pass, the instant the rolling job queue
-    /// first ran dry — the start of the tail-drain phase the "drain"
-    /// span covers.
-    drained_at: Option<Instant>,
-}
-
-impl<'j, const L: usize> StreamRun<'j, '_, L> {
-    /// Resolves the job in `lane` with an error, retiring its walk.
-    fn fail(&mut self, lane: usize, e: AlignError) {
-        let Active { idx, walk, started } = self.slots[lane].take().expect("slot is active");
-        self.tb.absorb(walk.stats());
-        retire_job(self.obs, started);
-        self.out.push((idx, Err(e)));
-    }
-
-    /// First half of resolving `lane`: checks the DC outcome and
-    /// appends the window's traceback walker to the drain `queue` (on
-    /// a DC failure the job is resolved in place instead).
-    fn collect_traceback(&mut self, lane: usize, queue: &mut Vec<TbTask>) {
-        let outcome = self.stream.outcome(lane);
-        let view = self.stream.lane(lane);
-        let active = self.slots[lane].as_mut().expect("resolved lane has a walk");
-        match active.walk.begin_traceback(outcome, &view) {
-            Ok(walker) => queue.push(TbTask { lane, walker }),
-            Err(e) => self.fail(lane, e),
-        }
-    }
-
-    /// Second half: drains the queue, running every collected walker's
-    /// case checks **in lock step** ([`drain_walkers_lockstep`]) — the
-    /// traceback analogue of a lock-step DC pass. The drain queue lines
-    /// the resolved windows' walkers up back-to-back precisely so their
-    /// per-step case checks batch (four walkers per vector round on
-    /// AVX2) instead of serializing a whole walk per lane. Case
-    /// decisions, emitted operations and TB counters are identical to
-    /// the sequential [`TbWalker::run`] under the configured order.
-    fn drain_tracebacks(&mut self, queue: &mut Vec<TbTask>) {
-        if queue.is_empty() {
-            return;
-        }
-        let lanes: Vec<usize> = queue.iter().map(|t| t.lane).collect();
-        let walkers: Vec<TbWalker> = queue.drain(..).map(|t| t.walker).collect();
-        let drained: Vec<(TbWalker, usize, Result<(), AlignError>)> = {
-            let stream = &*self.stream;
-            let mut tasks: Vec<(TbWalker, StreamLaneBitvectors<'_, L>)> = walkers
-                .into_iter()
-                .zip(lanes.iter())
-                .map(|(walker, &lane)| (walker, stream.lane(lane)))
-                .collect();
-            let walked = drain_walkers_lockstep(&mut tasks, self.lut);
-            tasks
-                .into_iter()
-                .zip(walked)
-                .map(|((walker, view), r)| (walker, TracebackSource::stored_words(&view), r))
-                .collect()
-        };
-        for ((walker, stored_words, walked), lane) in drained.into_iter().zip(lanes) {
-            let step = walked.and_then(|()| {
-                self.slots[lane]
-                    .as_mut()
-                    .expect("traced lane has a walk")
-                    .walk
-                    .complete_traceback(walker, stored_words)
-            });
-            if let Err(e) = step {
-                self.fail(lane, e);
-            }
-        }
-    }
-
-    /// Immediate resolve for windows that settle during refill, reusing
-    /// the caller's (drained) task queue: the lane's bitvectors are
-    /// consumed before the next refill, so the walk cannot stay queued.
-    fn resolve_inline(&mut self, lane: usize, queue: &mut Vec<TbTask>) {
-        debug_assert!(queue.is_empty(), "inline resolves run on a drained queue");
-        self.collect_traceback(lane, queue);
-        self.drain_tracebacks(queue);
-    }
-
-    /// Tops `lane` up from the rolling ready queue: the lane's own
-    /// walk's next window when it has one, else the next job from the
-    /// queue — looping through instant resolutions, finished walks and
-    /// error jobs until the lane holds a pending window or the queue
-    /// runs dry (then the lane is released; on a draining pass it idles
-    /// through the tail, on a persistent pass it waits for the next
-    /// claim's jobs). `queue` is the worker's drained traceback queue,
-    /// borrowed for instant resolutions.
-    fn feed(&mut self, lane: usize, queue: &mut Vec<TbTask>) {
-        loop {
-            if self.slots[lane].is_none() {
-                // Pull the next job into this lane.
-                let mut pulled = false;
-                while let Some(idx) = self.queue.pop_front() {
-                    let job = &self.jobs[idx];
-                    #[cfg(feature = "chaos")]
-                    genasm_chaos::check(genasm_chaos::sites::ENGINE_KERNEL_PANIC, job.key);
-                    match WindowWalk::new(self.config, &job.text, &job.pattern) {
-                        Ok(walk) => {
-                            let started = stamp_job(self.obs);
-                            self.slots[lane] = Some(Active { idx, walk, started });
-                            pulled = true;
-                            break;
-                        }
-                        Err(e) => self.out.push((idx, Err(e))),
-                    }
-                }
-                if !pulled {
-                    if self.drain
-                        && self.drained_at.is_none()
-                        && self.obs.as_ref().is_some_and(|o| o.spans.is_enabled())
-                    {
-                        self.drained_at = Some(Instant::now());
-                    }
-                    self.stream.release_lane(lane);
-                    return;
-                }
-            }
-            let active = self.slots[lane].as_mut().expect("lane was just filled");
-            match active.walk.next_window() {
-                None => {
-                    let Active { idx, walk, started } =
-                        self.slots[lane].take().expect("slot is active");
-                    self.tb.absorb(walk.stats());
-                    retire_job(self.obs, started);
-                    self.out.push((idx, Ok(walk.finish())));
-                }
-                Some(req) if req.global_final => {
-                    // Unreachable for eligible configs (semiglobal mode
-                    // never emits a global-final window); drain the
-                    // straggler scalar, defensively.
-                    let Active {
-                        idx,
-                        mut walk,
-                        started,
-                    } = self.slots[lane].take().expect("slot is active");
-                    let driven = walk
-                        .apply_global_final::<Dna>(self.scalar)
-                        .and_then(|()| drive_window_walk::<Dna>(&mut walk, self.scalar));
-                    self.tb.absorb(walk.stats());
-                    retire_job(self.obs, started);
-                    self.out.push((idx, driven.map(|()| walk.finish())));
-                }
-                Some(req) => {
-                    match self.stream.refill_lane::<Dna>(
-                        lane,
-                        req.sub_text,
-                        req.sub_pattern,
-                        req.budget,
-                    ) {
-                        Ok(LaneLoad::Pending) => return,
-                        Ok(LaneLoad::Resolved) => self.resolve_inline(lane, queue),
-                        Err(e) => self.fail(lane, e),
-                    }
-                }
-            }
-        }
-    }
-
-    /// One scheduling pass: feeds every empty lane, then steps the
-    /// stream — collecting and lock-step-draining each step's resolved
-    /// tracebacks, then refilling the freed lanes — until either every
-    /// lane drains (`self.drain`) or the job queue runs dry with the
-    /// surviving lanes left loaded for the caller's next pass.
-    fn pump(&mut self, tb_queue: &mut Vec<TbTask>) {
-        let tracing = self.obs.as_ref().is_some_and(|o| o.spans.is_enabled());
-        for lane in 0..L {
-            if self.slots[lane].is_none() {
-                self.feed(lane, tb_queue);
-            }
-        }
-        let mut resolved = Vec::with_capacity(L);
-        // When tracing, a "dc" span covers each contiguous run of DC
-        // steps (from the first step after a refill until a lane
-        // resolves) — per-step spans would be far too fine to read in
-        // a trace viewer.
-        let mut dc_started: Option<Instant> = None;
-        while self.stream.active_lanes() > 0 && (self.drain || !self.queue.is_empty()) {
-            if tracing && dc_started.is_none() {
-                dc_started = Some(Instant::now());
-            }
-            resolved.clear();
-            self.stream.step(&mut resolved);
-            if resolved.is_empty() {
-                continue;
-            }
-            if let Some(o) = self.obs.as_mut() {
-                if let Some(t0) = dc_started.take() {
-                    o.spans.span_from("dc", t0);
-                }
-                o.spans.begin("tb");
-            }
-            // Collect every traceback this step produced, drain them as
-            // one batch, then refill the freed lanes.
-            for &lane in &resolved {
-                self.collect_traceback(lane, tb_queue);
-            }
-            self.drain_tracebacks(tb_queue);
-            if let Some(o) = self.obs.as_mut() {
-                o.spans.end("tb");
-            }
-            for &lane in &resolved {
-                self.feed(lane, tb_queue);
-            }
-        }
-        // The tail drain — from the moment the job queue ran dry until
-        // the last lane resolved — recorded retroactively as one span.
-        if let (Some(t0), Some(o)) = (self.drained_at, self.obs.as_mut()) {
-            o.spans.span_from("drain", t0);
-        }
-    }
-}
-
-/// Aligns a chunk of jobs through the **persistent-lane** streaming
-/// scheduler, returning per-job results in chunk order. Falls back to
-/// the scalar path wholesale when `config` is outside the lock-step
-/// domain. Results are bit-identical to the scalar and chunked paths.
-///
-/// Tracebacks are deferred into a per-step drain queue: every window
-/// that resolves in one DC step enqueues its [`TbWalker`], the queue
-/// is drained in one batch of back-to-back case-check loops, and only
-/// then are the freed lanes refilled — so TB work is batched across
-/// jobs rather than interleaved into each lane's kernel schedule.
-pub(crate) fn align_chunk_streaming<const L: usize>(
-    config: &GenAsmConfig,
-    jobs: &[Job],
-    stream: &mut DcLaneStream<L>,
-    scalar: &mut AlignArena,
-    tb: &mut TbCounters,
-    obs: &mut Option<WorkerObs>,
-) -> Vec<Result<Alignment, AlignError>> {
-    if !lockstep_eligible(config) {
-        return align_chunk_fallback(config, jobs, scalar, tb, obs);
-    }
-
-    let lut = TbCaseLut::new(&config.order);
-    let mut slots: Vec<Option<Active<'_>>> = std::iter::repeat_with(|| None).take(L).collect();
-    let mut queue: VecDeque<usize> = (0..jobs.len()).collect();
-    let mut out: Vec<(usize, Result<Alignment, AlignError>)> = Vec::with_capacity(jobs.len());
-    let mut tb_queue: Vec<TbTask> = Vec::with_capacity(L);
-    let mut run = StreamRun {
-        config,
-        jobs,
-        stream,
-        scalar,
-        tb,
-        obs,
-        slots: &mut slots,
-        queue: &mut queue,
-        out: &mut out,
-        lut: &lut,
-        drain: true,
-        drained_at: None,
-    };
-    run.pump(&mut tb_queue);
-
-    let mut results: Vec<Option<Result<Alignment, AlignError>>> =
-        std::iter::repeat_with(|| None).take(jobs.len()).collect();
-    for (idx, result) in out {
-        results[idx] = Some(result);
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every job in the chunk is resolved"))
-        .collect()
-}
-
-/// The cross-claim persistent-lane alignment session behind
-/// [`Kernel::align_session`](crate::Kernel::align_session): the
-/// streaming scheduler's queue, lane slots and traceback drain queue,
-/// owned across the engine's work-queue chunk claims. Each
-/// [`run_range`](AlignSession::run_range) extends the rolling job
-/// queue and advances the lanes only while queued work remains —
-/// in-flight windows stay loaded between claims instead of draining at
-/// every chunk boundary, so the per-chunk drain tail (the dominant
-/// occupancy loss of per-claim scheduling at wide lane counts) is paid
-/// once per batch, in [`finish`](AlignSession::finish).
-pub(crate) struct StreamSession<'j, const L: usize> {
-    config: &'j GenAsmConfig,
-    jobs: &'j [Job],
-    slots: Vec<Option<Active<'j>>>,
-    queue: VecDeque<usize>,
-    lut: TbCaseLut,
-    tb_queue: Vec<TbTask>,
-}
-
-impl<'j, const L: usize> StreamSession<'j, L> {
-    /// A session over `jobs` with empty lanes and an empty queue. The
-    /// config must be lock-step eligible (the kernel checks before
-    /// constructing).
-    pub(crate) fn new(config: &'j GenAsmConfig, jobs: &'j [Job]) -> Self {
-        debug_assert!(lockstep_eligible(config));
-        StreamSession {
-            config,
-            jobs,
-            slots: std::iter::repeat_with(|| None).take(L).collect(),
-            queue: VecDeque::new(),
-            lut: TbCaseLut::new(&config.order),
-            tb_queue: Vec::with_capacity(L),
-        }
-    }
-
-    /// Runs one scheduling pass over the session's queue on `scratch`'s
-    /// `L`-lane stream.
-    fn pump_on(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        out: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-        drain: bool,
-    ) {
-        let ls = scratch
-            .as_any_mut()
-            .downcast_mut::<LockstepScratch>()
-            .expect("lock-step sessions require LockstepScratch");
-        let LockstepScratch {
-            stream4,
-            stream8,
-            stream16,
-            scalar,
-            tb,
-            obs,
-            ..
-        } = ls;
-        let mut run = StreamRun {
-            config: self.config,
-            jobs: self.jobs,
-            stream: stream_for::<L>(stream4, stream8, stream16),
-            scalar,
-            tb,
-            obs,
-            slots: &mut self.slots,
-            queue: &mut self.queue,
-            out,
-            lut: &self.lut,
-            drain,
-            drained_at: None,
-        };
-        run.pump(&mut self.tb_queue);
-    }
-}
-
-impl<const L: usize> AlignSession for StreamSession<'_, L> {
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-    ) {
-        self.queue.extend(range);
-        self.pump_on(scratch, produced, false);
-    }
-
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Alignment, AlignError>)>,
-    ) {
-        self.pump_on(scratch, produced, true);
-    }
-}
-
 /// Scalar wholesale fallback for configurations outside the lock-step
-/// domain, shared by both chunk schedulers; per-job latencies are
+/// domain; per-job latencies are
 /// still recorded when telemetry asks for them (here each job really
 /// does run start-to-finish on its own).
 fn align_chunk_fallback(
@@ -619,17 +172,19 @@ fn align_chunk_fallback(
         .collect()
 }
 
-/// Aligns a chunk of jobs through the **chunked** lock-step scheduler
-/// (the PR 2 shape, kept as the persistent scheduler's A/B baseline),
-/// returning per-job results in chunk order. Falls back to the scalar
-/// path wholesale when `config` is outside the lock-step domain.
+/// Aligns a chunk of jobs through the lock-step scheduler, returning
+/// per-job results in chunk order: each pass gathers the next ready
+/// window of up to [`LANES`] in-flight walks into one
+/// [`window_dc_multi_into`] batch, and a walk that finishes hands its
+/// lane to the chunk's next job. Falls back to the scalar path
+/// wholesale when `config` is outside the lock-step domain.
 // The gather loop indexes `slots` so finished walks can be taken out of
 // their slot mid-iteration; a range loop is the clearest shape for that.
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn align_chunk_chunked<const L: usize>(
+pub(crate) fn align_chunk_chunked(
     config: &GenAsmConfig,
     jobs: &[Job],
-    multi: &mut MultiDcArena<L>,
+    multi: &mut MultiDcArena<LANES>,
     scalar: &mut AlignArena,
     tb: &mut TbCounters,
     obs: &mut Option<WorkerObs>,
@@ -641,10 +196,10 @@ pub(crate) fn align_chunk_chunked<const L: usize>(
     let mut results: Vec<Option<Result<Alignment, AlignError>>> = Vec::new();
     results.resize_with(jobs.len(), || None);
     let mut slots: Vec<Option<Active<'_>>> = Vec::new();
-    slots.resize_with(L, || None);
+    slots.resize_with(LANES, || None);
     let mut next_job = 0usize;
-    let mut inputs: Vec<MultiLane<'_>> = Vec::with_capacity(L);
-    let mut input_slots: Vec<usize> = Vec::with_capacity(L);
+    let mut inputs: Vec<MultiLane<'_>> = Vec::with_capacity(LANES);
+    let mut input_slots: Vec<usize> = Vec::with_capacity(LANES);
 
     loop {
         // Refill free lanes from the job stream.
@@ -718,7 +273,7 @@ pub(crate) fn align_chunk_chunked<const L: usize>(
         if let Some(o) = obs.as_mut() {
             o.spans.begin("dc");
         }
-        window_dc_multi_into::<Dna, L>(&inputs, multi);
+        window_dc_multi_into::<Dna, LANES>(&inputs, multi);
         if let Some(o) = obs.as_mut() {
             o.spans.end("dc");
             o.spans.begin("tb");
@@ -788,93 +343,26 @@ struct BlockSum {
     decided: bool,
 }
 
-/// Runs a chunk of distance jobs through the **persistent-lane
-/// occurrence stream**: every job's disjoint 64-character pattern
-/// blocks become independent lane windows scanning the job's text,
-/// each lane at its own depth, refilled the moment it resolves — no
-/// row ring, no TB-SRAM. Per-job results (the summed block distances,
-/// `None` past the job's budget) come back in chunk order, identical
-/// to [`distance_job_scalar`] on each job alone.
-pub(crate) fn distance_chunk_streaming<const L: usize>(
-    jobs: &[DistanceJob],
-    stream: &mut DcLaneStream<L>,
-) -> Vec<Result<Option<usize>, AlignError>> {
-    let mut session = DistanceStreamSession::<L>::new(jobs);
-    let mut out: Vec<(usize, Result<Option<usize>, AlignError>)> = Vec::with_capacity(jobs.len());
-    session.enqueue(0..jobs.len(), &mut out);
-    session.run_on(stream, &mut out, true);
-
-    let mut results: Vec<Option<Result<Option<usize>, AlignError>>> = vec![None; jobs.len()];
-    for (idx, result) in out {
-        results[idx] = Some(result);
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every distance job in the chunk is resolved"))
-        .collect()
-}
-
-/// The cross-claim persistent-lane distance session behind
-/// [`Kernel::distance_session`](crate::Kernel::distance_session): the
-/// occurrence stream's block queue, per-job accumulators and lane
-/// bookkeeping, owned across the engine's work-queue chunk claims.
-/// Blocks in flight on the lanes survive claim boundaries; only
-/// [`finish`](DistanceSession::finish) drains the stream.
-pub(crate) struct DistanceStreamSession<'j, const L: usize> {
+/// One chunk's block scan: the block queue, per-job accumulators and
+/// lane bookkeeping [`distance_chunk_streaming`] drives over the
+/// worker's occurrence stream.
+struct BlockScan<'j, 's> {
     jobs: &'j [DistanceJob],
-    /// Per-job accumulation state, for the whole batch up front (jobs
-    /// arrive by range, in order, so the allocation is never wasted).
+    stream: &'s mut DcLaneStream<LANES>,
     sums: Vec<BlockSum>,
     /// Undecided job indices with blocks left to issue, in job order.
     queue: VecDeque<usize>,
     /// The (job, block) each lane currently carries.
-    loaded: [Option<(usize, usize)>; L],
+    loaded: [Option<(usize, usize)>; LANES],
+    /// Per-job results, filled as jobs are decided.
+    results: Vec<Option<Result<Option<usize>, AlignError>>>,
 }
 
-impl<'j, const L: usize> DistanceStreamSession<'j, L> {
-    pub(crate) fn new(jobs: &'j [DistanceJob]) -> Self {
-        DistanceStreamSession {
-            jobs,
-            sums: jobs
-                .iter()
-                .map(|job| BlockSum {
-                    outcomes: vec![None; job.pattern.len().div_ceil(MAX_WINDOW)],
-                    ..BlockSum::default()
-                })
-                .collect(),
-            queue: VecDeque::new(),
-            loaded: [None; L],
-        }
-    }
-
-    /// Admits a claimed range of jobs into the rolling block queue.
-    /// Empty patterns have no blocks; they resolve immediately with
-    /// the scalar metric's error.
-    fn enqueue(
-        &mut self,
-        range: Range<usize>,
-        out: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    ) {
-        for idx in range {
-            if self.jobs[idx].pattern.is_empty() {
-                self.sums[idx].decided = true;
-                out.push((idx, Err(AlignError::EmptyPattern)));
-            } else {
-                self.queue.push_back(idx);
-            }
-        }
-    }
-
+impl BlockScan<'_, '_> {
     /// Buffers one block outcome and folds the job's completed ordered
     /// prefix, mirroring the scalar reference's in-order short-circuit
     /// rules exactly.
-    fn absorb(
-        &mut self,
-        idx: usize,
-        block: usize,
-        outcome: Result<Option<usize>, AlignError>,
-        out: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    ) {
+    fn absorb(&mut self, idx: usize, block: usize, outcome: Result<Option<usize>, AlignError>) {
         let k_max = self.jobs[idx].k_max;
         let state = &mut self.sums[idx];
         if state.decided {
@@ -885,27 +373,25 @@ impl<'j, const L: usize> DistanceStreamSession<'j, L> {
             let Some(next) = state.outcomes.get(state.folded).cloned().flatten() else {
                 break;
             };
-            match next {
+            let decided = match next {
                 Ok(Some(d)) => {
                     state.sum += d;
                     state.folded += 1;
                     if state.sum > k_max {
-                        state.decided = true;
-                        out.push((idx, Ok(None)));
+                        Some(Ok(None))
                     } else if state.folded == state.outcomes.len() {
-                        state.decided = true;
-                        out.push((idx, Ok(Some(state.sum))));
+                        Some(Ok(Some(state.sum)))
+                    } else {
+                        None
                     }
                 }
                 // A block past the budget caps the sum past it too.
-                Ok(None) => {
-                    state.decided = true;
-                    out.push((idx, Ok(None)));
-                }
-                Err(e) => {
-                    state.decided = true;
-                    out.push((idx, Err(e)));
-                }
+                Ok(None) => Some(Ok(None)),
+                Err(e) => Some(Err(e)),
+            };
+            if let Some(result) = decided {
+                state.decided = true;
+                self.results[idx] = Some(result);
             }
         }
     }
@@ -913,13 +399,8 @@ impl<'j, const L: usize> DistanceStreamSession<'j, L> {
     /// Tops `lane` up from the block queue, skipping blocks of decided
     /// jobs and looping through instant resolutions until the lane
     /// holds a pending scan or the queue runs dry (then the lane is
-    /// released; it refills from the next claim's jobs).
-    fn feed_lane(
-        &mut self,
-        stream: &mut DcLaneStream<L>,
-        lane: usize,
-        out: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    ) {
+    /// released and idles through the tail).
+    fn feed_lane(&mut self, lane: usize) {
         loop {
             // Drop decided and fully-issued jobs off the queue front.
             while let Some(&front) = self.queue.front() {
@@ -932,7 +413,7 @@ impl<'j, const L: usize> DistanceStreamSession<'j, L> {
                 }
             }
             let Some(&idx) = self.queue.front() else {
-                stream.release_lane(lane);
+                self.stream.release_lane(lane);
                 self.loaded[lane] = None;
                 return;
             };
@@ -944,124 +425,90 @@ impl<'j, const L: usize> DistanceStreamSession<'j, L> {
             let block_start = block_no * MAX_WINDOW;
             let block =
                 &job.pattern[block_start..(block_start + MAX_WINDOW).min(job.pattern.len())];
-            match stream.refill_lane::<Dna>(lane, &job.text, block, job.k_max) {
+            match self
+                .stream
+                .refill_lane::<Dna>(lane, &job.text, block, job.k_max)
+            {
                 Ok(LaneLoad::Pending) => {
                     self.loaded[lane] = Some((idx, block_no));
                     return;
                 }
                 Ok(LaneLoad::Resolved) => {
-                    let outcome = Ok(stream.outcome(lane));
-                    self.absorb(idx, block_no, outcome, out);
+                    let outcome = Ok(self.stream.outcome(lane));
+                    self.absorb(idx, block_no, outcome);
                 }
-                Err(e) => self.absorb(idx, block_no, Err(e), out),
+                Err(e) => self.absorb(idx, block_no, Err(e)),
             }
         }
     }
 
-    /// One scheduling pass on `stream`: recycles idle and stale lanes,
-    /// then steps until either the stream drains (`drain`) or the block
-    /// queue runs dry with in-flight scans left loaded for the caller's
-    /// next pass.
-    fn run_on(
-        &mut self,
-        stream: &mut DcLaneStream<L>,
-        out: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-        drain: bool,
-    ) {
-        // The drain loops index `loaded`/`resolved` while the feed
-        // mutates lane state; range loops are the clearest shape.
-        #[allow(clippy::needless_range_loop)]
-        for lane in 0..L {
-            // A lane can come in stale: its job was decided by a
-            // sibling block at the tail of the previous pass.
-            if self.loaded[lane].is_none()
-                || self.loaded[lane].is_some_and(|(idx, _)| self.sums[idx].decided)
-            {
-                self.feed_lane(stream, lane, out);
-            }
+    /// Feeds every lane, then steps until the stream drains.
+    fn run(&mut self) {
+        for lane in 0..LANES {
+            self.feed_lane(lane);
         }
-        let mut resolved = Vec::with_capacity(L);
-        while stream.active_lanes() > 0 && (drain || !self.queue.is_empty()) {
+        let mut resolved = Vec::with_capacity(LANES);
+        while self.stream.active_lanes() > 0 {
             resolved.clear();
-            stream.step(&mut resolved);
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..resolved.len() {
-                let lane = resolved[i];
+            self.stream.step(&mut resolved);
+            for &lane in &resolved {
                 let (idx, block_no) = self.loaded[lane].expect("resolved lane is loaded");
-                let outcome = Ok(stream.outcome(lane));
-                self.absorb(idx, block_no, outcome, out);
-                self.feed_lane(stream, lane, out);
+                let outcome = Ok(self.stream.outcome(lane));
+                self.absorb(idx, block_no, outcome);
+                self.feed_lane(lane);
             }
             // A resolution can decide a job early (budget exceeded or
             // error); its sibling blocks still in flight on other
             // lanes would burn rows to no purpose, so hand those lanes
             // fresh work immediately — the scalar reference
             // short-circuits after the deciding block the same way.
-            #[allow(clippy::needless_range_loop)]
-            for lane in 0..L {
+            for lane in 0..LANES {
                 if self.loaded[lane].is_some_and(|(idx, _)| self.sums[idx].decided) {
-                    self.feed_lane(stream, lane, out);
+                    self.feed_lane(lane);
                 }
             }
         }
     }
 }
 
-impl<const L: usize> DistanceSession for DistanceStreamSession<'_, L> {
-    fn run_range(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        range: Range<usize>,
-        produced: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    ) {
-        let ls = scratch
-            .as_any_mut()
-            .downcast_mut::<LockstepScratch>()
-            .expect("lock-step sessions require LockstepScratch");
-        let LockstepScratch {
-            dstream4,
-            dstream8,
-            dstream16,
-            obs,
-            ..
-        } = ls;
-        let stream = stream_for::<L>(dstream4, dstream8, dstream16);
-        // Distance-only scans are pure DC: one span covers the pass.
-        if let Some(o) = obs.as_mut() {
-            o.spans.begin("dc");
-        }
-        self.enqueue(range, produced);
-        self.run_on(stream, produced, false);
-        if let Some(o) = obs.as_mut() {
-            o.spans.end("dc");
-        }
-    }
-
-    fn finish(
-        &mut self,
-        scratch: &mut dyn KernelScratch,
-        produced: &mut Vec<(usize, Result<Option<usize>, AlignError>)>,
-    ) {
-        let ls = scratch
-            .as_any_mut()
-            .downcast_mut::<LockstepScratch>()
-            .expect("lock-step sessions require LockstepScratch");
-        let LockstepScratch {
-            dstream4,
-            dstream8,
-            dstream16,
-            obs,
-            ..
-        } = ls;
-        let stream = stream_for::<L>(dstream4, dstream8, dstream16);
-        if let Some(o) = obs.as_mut() {
-            o.spans.begin("dc");
-        }
-        self.run_on(stream, produced, true);
-        if let Some(o) = obs.as_mut() {
-            o.spans.end("dc");
+/// Runs a chunk of distance jobs through the **persistent-lane
+/// occurrence stream**: every job's disjoint 64-character pattern
+/// blocks become independent lane scans of the job's text, each lane at
+/// its own depth, refilled the moment it resolves — no row storage, no
+/// TB-SRAM. Per-job results (the summed block distances, `None` past
+/// the job's budget) come back in chunk order, identical to
+/// [`distance_job_scalar`] on each job alone.
+pub(crate) fn distance_chunk_streaming(
+    jobs: &[DistanceJob],
+    stream: &mut DcLaneStream<LANES>,
+) -> Vec<Result<Option<usize>, AlignError>> {
+    let mut scan = BlockScan {
+        jobs,
+        stream,
+        sums: Vec::with_capacity(jobs.len()),
+        queue: VecDeque::with_capacity(jobs.len()),
+        loaded: [None; LANES],
+        results: vec![None; jobs.len()],
+    };
+    for (idx, job) in jobs.iter().enumerate() {
+        scan.sums.push(BlockSum {
+            outcomes: vec![None; job.pattern.len().div_ceil(MAX_WINDOW)],
+            ..BlockSum::default()
+        });
+        // Empty patterns have no blocks; they resolve immediately with
+        // the scalar metric's error.
+        if job.pattern.is_empty() {
+            scan.sums[idx].decided = true;
+            scan.results[idx] = Some(Err(AlignError::EmptyPattern));
+        } else {
+            scan.queue.push_back(idx);
         }
     }
+    scan.run();
+    scan.results
+        .into_iter()
+        .map(|slot| slot.expect("every distance job in the chunk is resolved"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1100,53 +547,29 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn streaming_chunks_are_bit_identical_to_sequential_alignment() {
-        let config = GenAsmConfig::default();
-        let aligner = GenAsmAligner::new(config.clone());
-        let mut scratch = LockstepScratch::default();
-        for count in [1usize, 3, 4, 5, 11, 32] {
-            let jobs = jobs(count, count as u64 * 39);
-            let results = align_chunk_streaming(
-                &config,
-                &jobs,
-                &mut scratch.stream4,
-                &mut scratch.scalar,
-                &mut scratch.tb,
-                &mut scratch.obs,
-            );
-            assert_eq!(results.len(), jobs.len());
-            for (job, result) in jobs.iter().zip(&results) {
-                let expected = aligner.align(&job.text, &job.pattern).unwrap();
-                assert_eq!(&expected, result.as_ref().unwrap(), "count={count}");
-            }
-            let eight = align_chunk_streaming(
-                &config,
-                &jobs,
-                &mut scratch.stream8,
-                &mut scratch.scalar,
-                &mut scratch.tb,
-                &mut scratch.obs,
-            );
-            assert_eq!(results, eight, "count={count} at 8 lanes");
-        }
+    fn run_chunked(
+        config: &GenAsmConfig,
+        jobs: &[Job],
+        scratch: &mut LockstepScratch,
+    ) -> Vec<Result<Alignment, AlignError>> {
+        align_chunk_chunked(
+            config,
+            jobs,
+            &mut scratch.multi,
+            &mut scratch.scalar,
+            &mut scratch.tb,
+            &mut scratch.obs,
+        )
     }
 
     #[test]
-    fn chunked_chunks_are_bit_identical_to_sequential_alignment() {
+    fn lockstep_chunks_are_bit_identical_to_sequential_alignment() {
         let config = GenAsmConfig::default();
         let aligner = GenAsmAligner::new(config.clone());
         let mut scratch = LockstepScratch::default();
         for count in [1usize, 3, 4, 5, 11, 32] {
             let jobs = jobs(count, count as u64 * 39);
-            let results = align_chunk_chunked(
-                &config,
-                &jobs,
-                &mut scratch.multi4,
-                &mut scratch.scalar,
-                &mut scratch.tb,
-                &mut scratch.obs,
-            );
+            let results = run_chunked(&config, &jobs, &mut scratch);
             assert_eq!(results.len(), jobs.len());
             for (job, result) in jobs.iter().zip(&results) {
                 let expected = aligner.align(&job.text, &job.pattern).unwrap();
@@ -1156,203 +579,17 @@ mod tests {
     }
 
     #[test]
-    fn job_errors_resolve_in_place_on_both_schedulers() {
+    fn job_errors_resolve_in_place() {
         let config = GenAsmConfig::default();
         let mut scratch = LockstepScratch::default();
         let mut jobs = jobs(6, 17);
         jobs[1].pattern.clear();
         jobs[4].text = b"ACGTNN".to_vec();
-        let streaming = align_chunk_streaming(
-            &config,
-            &jobs,
-            &mut scratch.stream4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        let chunked = align_chunk_chunked(
-            &config,
-            &jobs,
-            &mut scratch.multi4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        for results in [&streaming, &chunked] {
-            assert!(matches!(results[1], Err(AlignError::EmptyPattern)));
-            assert!(matches!(results[4], Err(AlignError::InvalidSymbol { .. })));
-            for idx in [0usize, 2, 3, 5] {
-                assert!(results[idx].is_ok(), "idx={idx}");
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_wastes_fewer_row_slots_than_chunked() {
-        let config = GenAsmConfig::default();
-        let mut scratch = LockstepScratch::default();
-        let jobs = jobs(48, 333);
-        align_chunk_chunked(
-            &config,
-            &jobs,
-            &mut scratch.multi4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        let (chunked_issued, chunked_useful) = scratch.take_row_counters();
-        align_chunk_streaming(
-            &config,
-            &jobs,
-            &mut scratch.stream4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        let (stream_issued, stream_useful) = scratch.take_row_counters();
-        let chunked_occ = chunked_useful as f64 / chunked_issued as f64;
-        let stream_occ = stream_useful as f64 / stream_issued as f64;
-        assert!(
-            stream_occ > chunked_occ,
-            "persistent occupancy {stream_occ:.3} must beat chunked {chunked_occ:.3}"
-        );
-    }
-
-    /// Runs a [`StreamSession`] over `jobs` in claim-sized ranges and
-    /// returns the scattered per-job results, asserting that lanes
-    /// actually survive claim boundaries.
-    fn run_align_session<const L: usize>(
-        config: &GenAsmConfig,
-        jobs: &[Job],
-        claim: usize,
-        scratch: &mut LockstepScratch,
-    ) -> Vec<Result<Alignment, AlignError>> {
-        let mut session = StreamSession::<L>::new(config, jobs);
-        let mut produced = Vec::new();
-        let mut persisted = false;
-        let mut start = 0;
-        while start < jobs.len() {
-            let end = (start + claim).min(jobs.len());
-            session.run_range(scratch, start..end, &mut produced);
-            persisted |= stream_for::<L>(
-                &mut scratch.stream4,
-                &mut scratch.stream8,
-                &mut scratch.stream16,
-            )
-            .active_lanes()
-                > 0;
-            start = end;
-        }
-        assert!(
-            persisted,
-            "some claim must leave lanes in flight for the next one"
-        );
-        session.finish(scratch, &mut produced);
-        let mut results: Vec<Option<Result<Alignment, AlignError>>> =
-            std::iter::repeat_with(|| None).take(jobs.len()).collect();
-        for (idx, result) in produced {
-            assert!(
-                results[idx].replace(result).is_none(),
-                "job {idx} resolved twice"
-            );
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("session resolves every job"))
-            .collect()
-    }
-
-    #[test]
-    fn align_sessions_persist_lanes_across_claims_and_stay_bit_identical() {
-        let config = GenAsmConfig::default();
-        let aligner = GenAsmAligner::new(config.clone());
-        let mut scratch = LockstepScratch::default();
-        let jobs = jobs(27, 201);
-        for claim in [3usize, 4, 8, 27] {
-            let results = run_align_session::<4>(&config, &jobs, claim, &mut scratch);
-            for (job, result) in jobs.iter().zip(&results) {
-                let expected = aligner.align(&job.text, &job.pattern).unwrap();
-                assert_eq!(&expected, result.as_ref().unwrap(), "claim={claim}");
-            }
-            let eight = run_align_session::<8>(&config, &jobs, claim, &mut scratch);
-            assert_eq!(results, eight, "claim={claim} at 8 lanes");
-        }
-    }
-
-    #[test]
-    fn align_sessions_resolve_error_jobs_in_place() {
-        let config = GenAsmConfig::default();
-        let mut scratch = LockstepScratch::default();
-        let mut batch = jobs(10, 17);
-        batch[1].pattern.clear();
-        batch[6].text = b"ACGTNN".to_vec();
-        let results = run_align_session::<4>(&config, &batch, 4, &mut scratch);
+        let results = run_chunked(&config, &jobs, &mut scratch);
         assert!(matches!(results[1], Err(AlignError::EmptyPattern)));
-        assert!(matches!(results[6], Err(AlignError::InvalidSymbol { .. })));
-        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 8);
-    }
-
-    #[test]
-    fn session_occupancy_beats_per_claim_draining() {
-        let config = GenAsmConfig::default();
-        let mut scratch = LockstepScratch::default();
-        let jobs = jobs(48, 333);
-        // Per-claim baseline: each 4-job chunk drains all lanes.
-        for chunk in jobs.chunks(4) {
-            align_chunk_streaming(
-                &config,
-                chunk,
-                &mut scratch.stream4,
-                &mut scratch.scalar,
-                &mut scratch.tb,
-                &mut scratch.obs,
-            );
-        }
-        let (chunk_issued, chunk_useful) = scratch.take_row_counters();
-        // The session sees the same 4-job claims, drains once.
-        run_align_session::<4>(&config, &jobs, 4, &mut scratch);
-        let (sess_issued, sess_useful) = scratch.take_row_counters();
-        let chunk_occ = chunk_useful as f64 / chunk_issued as f64;
-        let sess_occ = sess_useful as f64 / sess_issued as f64;
-        assert!(
-            sess_occ > chunk_occ,
-            "cross-claim occupancy {sess_occ:.3} must beat per-claim {chunk_occ:.3}"
-        );
-    }
-
-    #[test]
-    fn distance_sessions_persist_lanes_and_match_per_chunk_scans() {
-        let mut scratch = LockstepScratch::default();
-        let mut djobs: Vec<DistanceJob> = jobs(22, 123)
-            .into_iter()
-            .map(|job| {
-                let k = job.pattern.len() / 4;
-                DistanceJob::new(&job.text, &job.pattern, k)
-            })
-            .collect();
-        djobs[3].pattern.clear(); // EmptyPattern, resolved at enqueue
-        let whole = distance_chunk_streaming(&djobs, &mut scratch.dstream4);
-        for claim in [3usize, 5, 8] {
-            let mut session = DistanceStreamSession::<4>::new(&djobs);
-            let mut produced = Vec::new();
-            let mut persisted = false;
-            let mut start = 0;
-            while start < djobs.len() {
-                let end = (start + claim).min(djobs.len());
-                session.run_range(&mut scratch, start..end, &mut produced);
-                persisted |= scratch.dstream4.active_lanes() > 0;
-                start = end;
-            }
-            assert!(persisted, "claim={claim} must carry scans across claims");
-            session.finish(&mut scratch, &mut produced);
-            let mut results: Vec<Option<Result<Option<usize>, AlignError>>> =
-                vec![None; djobs.len()];
-            for (idx, result) in produced {
-                assert!(results[idx].replace(result).is_none(), "job {idx} twice");
-            }
-            for (got, want) in results.iter().zip(&whole) {
-                assert_eq!(got.as_ref().unwrap(), want, "claim={claim}");
-            }
+        assert!(matches!(results[4], Err(AlignError::InvalidSymbol { .. })));
+        for idx in [0usize, 2, 3, 5] {
+            assert!(results[idx].is_ok(), "idx={idx}");
         }
     }
 
@@ -1360,13 +597,20 @@ mod tests {
     fn distance_chunks_match_scalar_distance_scans() {
         let mut scratch = LockstepScratch::default();
         let mut check = |djobs: &[DistanceJob]| {
-            let four = distance_chunk_streaming(djobs, &mut scratch.dstream4);
-            let eight = distance_chunk_streaming(djobs, &mut scratch.dstream8);
-            assert_eq!(four, eight, "lane widths must agree");
-            for (job, got) in djobs.iter().zip(&four) {
+            let got = distance_chunk_streaming(djobs, &mut scratch.occurrence);
+            for (job, got) in djobs.iter().zip(&got) {
                 let want =
                     distance_job_scalar(&job.text, &job.pattern, job.k_max, &mut scratch.scalar);
                 assert_eq!(&want, got, "pattern len {}", job.pattern.len());
+            }
+            // Splitting the chunk (as claim boundaries do) never
+            // changes a job's result.
+            for split in [1usize, 3] {
+                let parts: Vec<_> = djobs
+                    .chunks(split)
+                    .flat_map(|part| distance_chunk_streaming(part, &mut scratch.occurrence))
+                    .collect();
+                assert_eq!(parts, got, "split {split}");
             }
         };
 
@@ -1427,7 +671,7 @@ mod tests {
             .iter()
             .map(|job| DistanceJob::new(&job.text, &job.pattern, job.pattern.len()))
             .collect();
-        let distances = distance_chunk_streaming(&djobs, &mut scratch.dstream4);
+        let distances = distance_chunk_streaming(&djobs, &mut scratch.occurrence);
         for (job, d) in batch.iter().zip(&distances) {
             let full = aligner.align(&job.text, &job.pattern).unwrap();
             let d = d.as_ref().unwrap().expect("unbounded budget resolves");
@@ -1444,27 +688,10 @@ mod tests {
         let config = GenAsmConfig::default();
         let mut scratch = LockstepScratch::default();
         let batch = jobs(12, 55);
-        align_chunk_streaming(
-            &config,
-            &batch,
-            &mut scratch.stream4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        let (stream_windows, stream_rows) = scratch.tb.take();
-        assert!(stream_windows > 0 && stream_rows >= stream_windows);
-        // The chunked and scalar paths walk the identical windows.
-        align_chunk_chunked(
-            &config,
-            &batch,
-            &mut scratch.multi4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
-        let chunked = scratch.tb.take();
-        assert_eq!((stream_windows, stream_rows), chunked);
+        run_chunked(&config, &batch, &mut scratch);
+        let (windows, rows) = scratch.tb.take();
+        assert!(windows > 0 && rows >= windows);
+        // The scalar path walks the identical windows.
         for job in &batch {
             align_job_scalar(
                 &config,
@@ -1475,14 +702,13 @@ mod tests {
             )
             .unwrap();
         }
-        let scalar = scratch.tb.take();
-        assert_eq!((stream_windows, stream_rows), scalar);
+        assert_eq!((windows, rows), scratch.tb.take());
         // Distance-only scans never touch the counters.
         let djobs: Vec<DistanceJob> = batch
             .iter()
             .map(|j| DistanceJob::new(&j.text, &j.pattern, j.pattern.len()))
             .collect();
-        distance_chunk_streaming(&djobs, &mut scratch.dstream4);
+        distance_chunk_streaming(&djobs, &mut scratch.occurrence);
         assert_eq!(scratch.tb.take(), (0, 0));
     }
 
@@ -1493,17 +719,11 @@ mod tests {
         let aligner = GenAsmAligner::new(config.clone());
         let mut scratch = LockstepScratch::default();
         let jobs = jobs(5, 71);
-        let results = align_chunk_streaming(
-            &config,
-            &jobs,
-            &mut scratch.stream4,
-            &mut scratch.scalar,
-            &mut scratch.tb,
-            &mut scratch.obs,
-        );
+        let results = run_chunked(&config, &jobs, &mut scratch);
         for (job, result) in jobs.iter().zip(&results) {
             let expected = aligner.align(&job.text, &job.pattern).unwrap();
             assert_eq!(&expected, result.as_ref().unwrap());
         }
+        assert_eq!(scratch.take_row_counters(), (0, 0), "no lock-step rows ran");
     }
 }

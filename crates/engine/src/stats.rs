@@ -94,9 +94,9 @@ impl BatchStats {
     /// Lock-step lane occupancy: useful row-slots over issued
     /// row-slots, `None` when no lock-step rows ran (scalar dispatch,
     /// non-lock-step kernels). 1.0 means every lane of every lock-step
-    /// recurrence row advanced an unresolved window; the chunked
-    /// scheduler loses ~30% of slots to divergent window distances,
-    /// which the persistent-lane scheduler recovers.
+    /// recurrence row advanced an unresolved window; a full-mode pass
+    /// loses the slots of lanes whose windows resolved before the
+    /// pass's deepest one.
     pub fn lane_occupancy(&self) -> Option<f64> {
         lane_occupancy_ratio(self.dc_rows_issued, self.dc_rows_useful)
     }

@@ -1,6 +1,7 @@
 //! The streaming `submit`/`drain` session: a persistent worker pool
 //! that starts executing jobs the moment they are submitted.
 
+use crate::engine::panic_message;
 use crate::job::{Job, JobError};
 use crate::kernel::Kernel;
 use genasm_core::align::Alignment;
@@ -176,14 +177,9 @@ fn worker_loop(shared: &Shared, kernel: &dyn Kernel) {
                 // The panicked job's arenas may hold torn state; the
                 // worker rebuilds its scratch and keeps serving.
                 scratch = kernel.new_scratch();
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(JobError::Panicked { message })
+                Err(JobError::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
             }
         };
         let mut state = shared.state.lock().expect("stream state poisoned");

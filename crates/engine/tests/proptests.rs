@@ -3,7 +3,7 @@
 //! pattern lengths and must never change results.
 
 use genasm_core::align::{AlignArena, GenAsmAligner, GenAsmConfig};
-use genasm_engine::{DcDispatch, Engine, EngineConfig, Job, LaneCount};
+use genasm_engine::{DcDispatch, Engine, EngineConfig, Job};
 use proptest::prelude::*;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -75,16 +75,16 @@ proptest! {
         }
     }
 
-    /// Every DC dispatch mode — scalar, chunked lock-step, and the
-    /// persistent-lane streaming scheduler — produces byte-identical
-    /// batch results at every lock-step lane width (4, 8, 16, and the
-    /// tier-resolved Auto), with and without cross-claim lane
-    /// persistence, on arbitrary job mixes (ragged lengths, divergent
-    /// distances, invalid jobs).
+    /// The lock-step dispatch produces byte-identical batch results to
+    /// the scalar oracle on arbitrary job mixes (ragged lengths,
+    /// divergent distances, invalid jobs), at the auto chunk size and
+    /// at explicit small chunks whose claim boundaries cut through the
+    /// mix and leave ragged passes against the four lanes.
     #[test]
-    fn all_dispatch_modes_and_lane_widths_agree(
+    fn lockstep_dispatch_agrees_with_scalar(
         mut batch in job_batch(20),
         workers in 1usize..4,
+        chunk in 0usize..6,
     ) {
         // Sprinkle in invalid jobs so error lanes are exercised too.
         if batch.len() > 2 {
@@ -97,62 +97,47 @@ proptest! {
                 .with_workers(workers)
                 .with_dispatch(DcDispatch::Scalar),
         );
-        let scalar_results = scalar.align_batch(&batch);
-        let scalar_stats = scalar.align_batch_with_stats(&batch).stats;
-        prop_assert_eq!(scalar_stats.lane_occupancy(), None, "scalar runs no lock-step rows");
-        for dispatch in [DcDispatch::Chunked, DcDispatch::Lockstep] {
-            // Cross-claim lane persistence only exists under the
-            // streaming scheduler; the chunked baseline ignores it.
-            let persist_modes: &[bool] = if dispatch == DcDispatch::Lockstep {
-                &[true, false]
-            } else {
-                &[true]
-            };
-            for lanes in [
-                LaneCount::Four,
-                LaneCount::Eight,
-                LaneCount::Sixteen,
-                LaneCount::Auto,
-            ] {
-                for &persist in persist_modes {
-                    let engine = Engine::new(
-                        EngineConfig::default()
-                            .with_workers(workers)
-                            .with_dispatch(dispatch)
-                            .with_lanes(lanes)
-                            .with_persist_lanes(persist),
-                    );
-                    let output = engine.align_batch_with_stats(&batch);
-                    prop_assert_eq!(scalar_results.len(), output.results.len());
-                    for (idx, (a, b)) in scalar_results.iter().zip(&output.results).enumerate() {
-                        match (a, b) {
-                            (Ok(a), Ok(b)) => prop_assert_eq!(
-                                a, b, "job {} {:?} {:?} persist={}", idx, dispatch, lanes, persist
-                            ),
-                            (Err(a), Err(b)) => {
-                                prop_assert_eq!(
-                                    format!("{:?}", a),
-                                    format!("{:?}", b),
-                                    "job {} {:?} {:?} persist={}", idx, dispatch, lanes, persist
-                                )
-                            }
-                            (a, b) => prop_assert!(
-                                false,
-                                "job {} diverged under {:?} {:?} persist={}: {:?} vs {:?}",
-                                idx, dispatch, lanes, persist, a, b
-                            ),
-                        }
-                    }
-                    // Lock-step row-slot accounting is internally
-                    // consistent (a streaming batch whose windows all
-                    // resolve at refill legitimately issues zero rows).
-                    prop_assert!(
-                        output.stats.dc_rows_issued >= output.stats.dc_rows_useful,
-                        "issued >= useful"
-                    );
-                }
+        let scalar_output = scalar.align_batch_with_stats(&batch);
+        prop_assert_eq!(
+            scalar_output.stats.lane_occupancy(),
+            None,
+            "scalar runs no lock-step rows"
+        );
+        let engine = Engine::new(
+            EngineConfig::default()
+                .with_workers(workers)
+                .with_chunk(chunk)
+                .with_dispatch(DcDispatch::Lockstep),
+        );
+        let output = engine.align_batch_with_stats(&batch);
+        prop_assert_eq!(scalar_output.results.len(), output.results.len());
+        for (idx, (a, b)) in scalar_output.results.iter().zip(&output.results).enumerate() {
+            match (a, b) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "job {} chunk={}", idx, chunk),
+                (Err(a), Err(b)) => prop_assert_eq!(
+                    format!("{:?}", a),
+                    format!("{:?}", b),
+                    "job {} chunk={}",
+                    idx,
+                    chunk
+                ),
+                (a, b) => prop_assert!(
+                    false,
+                    "job {} diverged at chunk={}: {:?} vs {:?}",
+                    idx, chunk, a, b
+                ),
             }
         }
+        // Both dispatches walk the identical traceback windows, and the
+        // lock-step row-slot accounting is internally consistent.
+        prop_assert_eq!(
+            (output.stats.tb_windows, output.stats.tb_rows),
+            (scalar_output.stats.tb_windows, scalar_output.stats.tb_rows)
+        );
+        prop_assert!(
+            output.stats.dc_rows_issued >= output.stats.dc_rows_useful,
+            "issued >= useful"
+        );
     }
 
     /// The engine over the same jobs agrees with the arena-reusing

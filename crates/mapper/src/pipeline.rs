@@ -44,7 +44,7 @@ use genasm_core::filter::PreAlignmentFilter;
 use genasm_core::scoring::Scoring;
 use genasm_engine::{
     CancelToken, DcDispatch, DistanceJob, Engine, EngineConfig, GotohKernel, Job, JobError,
-    KeyedResult, LaneCount,
+    KeyedResult,
 };
 use genasm_obs::{SpanBuffer, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -549,7 +549,7 @@ impl ReadMapper {
     /// (tids `100 + worker`) mark each oriented read's seed and filter
     /// scans. Share the same handle with the engine
     /// ([`Engine::with_telemetry`](genasm_engine::Engine::with_telemetry))
-    /// to interleave the engine workers' claim/dc/tb/drain spans in
+    /// to interleave the engine workers' claim/dc/tb spans in
     /// one trace. The default handle is fully disabled and costs one
     /// atomic load per batch.
     #[must_use]
@@ -581,22 +581,10 @@ impl ReadMapper {
     /// so the batch path aligns with exactly the aligner the
     /// sequential path would use.
     pub fn engine(&self, workers: usize, dispatch: DcDispatch) -> Engine {
-        self.engine_with_lanes(workers, dispatch, LaneCount::default())
-    }
-
-    /// [`engine`](Self::engine) with an explicit lock-step lane width
-    /// (the CLI's `--lanes` flag).
-    pub fn engine_with_lanes(
-        &self,
-        workers: usize,
-        dispatch: DcDispatch,
-        lanes: LaneCount,
-    ) -> Engine {
         let config = EngineConfig::default()
             .with_workers(workers)
             .with_genasm(self.config.genasm.clone())
-            .with_dispatch(dispatch)
-            .with_lanes(lanes);
+            .with_dispatch(dispatch);
         match self.config.aligner {
             AlignerKind::GenAsm => Engine::new(config),
             AlignerKind::Gotoh => {

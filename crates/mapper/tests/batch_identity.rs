@@ -1,11 +1,12 @@
 //! The staged batch mapper must be bit-identical to the sequential
 //! mapper: same `Mapping`s (position, strand, CIGAR, edit distance,
 //! score), same per-read order, across every filter and aligner kind,
-//! both strands, and both DC dispatch modes. `scripts/ci.sh` runs
+//! both strands, and both DC dispatch modes (the lock-step one also at
+//! small claim sizes). `scripts/ci.sh` runs
 //! this test with `--no-default-features` too, so identity also holds
 //! on the portable (non-AVX2) lock-step rows.
 
-use genasm_engine::DcDispatch;
+use genasm_engine::{DcDispatch, Engine, EngineConfig};
 use genasm_mapper::pipeline::{AlignMode, AlignerKind, FilterKind, MapperConfig, ReadMapper};
 use proptest::prelude::*;
 
@@ -77,20 +78,36 @@ proptest! {
                     let mapper = ReadMapper::build(&reference, config);
                     let sequential: Vec<_> =
                         read_refs.iter().map(|r| mapper.map_read(r).0).collect();
-                    for dispatch in
-                        [DcDispatch::Lockstep, DcDispatch::Chunked, DcDispatch::Scalar]
-                    {
-                        let engine = mapper.engine(2, dispatch);
+                    for (dispatch, chunk) in [
+                        (DcDispatch::Lockstep, 0),
+                        (DcDispatch::Lockstep, 1),
+                        (DcDispatch::Lockstep, 3),
+                        (DcDispatch::Scalar, 0),
+                    ] {
+                        // Explicit small chunks cut claim boundaries
+                        // through the batch's job mix.
+                        let engine = if chunk == 0 {
+                            mapper.engine(2, dispatch)
+                        } else {
+                            Engine::new(
+                                EngineConfig::default()
+                                    .with_workers(2)
+                                    .with_chunk(chunk)
+                                    .with_genasm(mapper.config().genasm.clone())
+                                    .with_dispatch(dispatch),
+                            )
+                        };
                         let (batch, timings) =
                             mapper.map_batch_with_engine(&read_refs, &engine);
                         prop_assert_eq!(
                             &sequential,
                             &batch,
-                            "filter={:?} aligner={:?} mode={:?} dispatch={:?}",
+                            "filter={:?} aligner={:?} mode={:?} dispatch={:?} chunk={}",
                             filter,
                             aligner,
                             align_mode,
-                            dispatch
+                            dispatch,
+                            chunk
                         );
                         prop_assert!(timings.candidates.1 <= timings.candidates.0);
                         if aligner == AlignerKind::Gotoh {

@@ -3,7 +3,7 @@
 //!
 //! * the distance-based resolution picks the same per-read winner as
 //!   full-alignment resolution — ties included — at 1, 2 and 8 workers,
-//!   across lock-step lane widths and dispatch modes;
+//!   under both dispatch modes and at small lock-step claim sizes;
 //! * the per-candidate phase-1 distances are certified lower bounds of
 //!   the full windowed alignment's edit distances (the invariant the
 //!   resolution's correctness proof rests on);
@@ -13,7 +13,7 @@
 //! `scripts/ci.sh` runs this suite with `--no-default-features` too, so
 //! identity also holds on the portable (non-AVX2) lock-step rows.
 
-use genasm_engine::{DcDispatch, DistanceJob, LaneCount};
+use genasm_engine::{DcDispatch, DistanceJob, Engine, EngineConfig};
 use genasm_mapper::pipeline::{AlignMode, AlignerKind, MapperConfig, ReadMapper};
 use proptest::prelude::*;
 
@@ -75,13 +75,36 @@ fn mapper_with(reference: &[u8], align_mode: AlignMode) -> ReadMapper {
     )
 }
 
+/// An engine for `mapper` under `dispatch` with an explicit claim size
+/// (`0` picks the auto size), so small chunks cut claim boundaries
+/// through the batch's job mix.
+fn engine_for(mapper: &ReadMapper, workers: usize, dispatch: DcDispatch, chunk: usize) -> Engine {
+    Engine::new(
+        EngineConfig::default()
+            .with_workers(workers)
+            .with_chunk(chunk)
+            .with_genasm(mapper.config().genasm.clone())
+            .with_dispatch(dispatch),
+    )
+}
+
+/// The dispatch × claim-size grid the identity tests sweep: the
+/// lock-step scheduler at the auto size and at chunks of 1 and 3, and
+/// the scalar oracle.
+const DISPATCH_GRID: [(DcDispatch, usize); 4] = [
+    (DcDispatch::Lockstep, 0),
+    (DcDispatch::Lockstep, 1),
+    (DcDispatch::Lockstep, 3),
+    (DcDispatch::Scalar, 0),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Distance-first resolution picks the same winner as
     /// full-alignment resolution across random read/candidate sets
     /// (ties included, via the duplicated read), at 1, 2 and 8
-    /// workers, on both lock-step lane widths and every dispatch mode.
+    /// workers, under both dispatch modes and several claim sizes.
     #[test]
     fn distance_resolution_picks_the_full_path_winner(
         reference in dna(2_000, 3_000),
@@ -97,26 +120,23 @@ proptest! {
 
         let mut tb_rows_two_phase = None;
         for workers in [1usize, 2, 8] {
-            for lanes in [LaneCount::Four, LaneCount::Eight] {
-                for dispatch in [DcDispatch::Lockstep, DcDispatch::Chunked, DcDispatch::Scalar] {
-                    let engine = two_phase.engine_with_lanes(workers, dispatch, lanes);
-                    let (mappings, timings) = two_phase.map_batch_with_engine(&read_refs, &engine);
-                    prop_assert_eq!(
-                        &full_mappings,
-                        &mappings,
-                        "workers={} lanes={:?} dispatch={:?}",
-                        workers,
-                        lanes,
-                        dispatch
-                    );
-                    prop_assert!(timings.distance_jobs <= full_timings.candidates.1 as u64);
-                    if workers == 1 && dispatch == DcDispatch::Lockstep {
-                        // Traceback volume is deterministic per mode.
-                        match tb_rows_two_phase {
-                            None => tb_rows_two_phase = Some(timings.tb_rows),
-                            Some(rows) => prop_assert_eq!(rows, timings.tb_rows),
-                        }
-                    }
+            for (dispatch, chunk) in DISPATCH_GRID {
+                let engine = engine_for(&two_phase, workers, dispatch, chunk);
+                let (mappings, timings) = two_phase.map_batch_with_engine(&read_refs, &engine);
+                prop_assert_eq!(
+                    &full_mappings,
+                    &mappings,
+                    "workers={} dispatch={:?} chunk={}",
+                    workers,
+                    dispatch,
+                    chunk
+                );
+                prop_assert!(timings.distance_jobs <= full_timings.candidates.1 as u64);
+                // Traceback volume is deterministic: the same under
+                // every worker count, dispatch and claim size.
+                match tb_rows_two_phase {
+                    None => tb_rows_two_phase = Some(timings.tb_rows),
+                    Some(rows) => prop_assert_eq!(rows, timings.tb_rows),
                 }
             }
         }

@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 # Fails when a committed bench artifact is missing a required field —
 # catches a bench edit that silently drops a tracked figure (e.g. the
-# lane-occupancy numbers the persistent-lane scheduler is judged by).
+# lock-step lane-occupancy numbers).
 check_bench_fields() {
     local file="$1"
     shift
@@ -144,22 +144,20 @@ for field in map.filter.tier0_rejects map.filter.tier0_probes map.filter.tier1_r
         || { echo "--metrics json: missing gauge \"$field\"" >&2; exit 1; }
 done
 
-echo "==> map --lanes identity smoke (lane width changes speed, never output)"
-# The same reads at every lock-step lane width, plus the tier-resolved
-# auto width, must produce byte-identical SAM (docs/KERNELS.md: width
-# decides who computes a row, never what it contains). Reuses the
-# cascade A/B inputs; the map.simd_level gauge must surface alongside.
+echo "==> map --kernel scalar identity smoke (dispatch changes speed, never output)"
+# The same reads through the default lock-step engine and the scalar
+# oracle dispatch must produce byte-identical SAM (docs/KERNELS.md:
+# scheduling decides who computes a window, never what it contains).
+# Reuses the cascade A/B inputs (the default run is ab_cascade.sam);
+# the @PG header line records the command line, `--kernel` included,
+# so it is the one line left out of the comparison. The map.simd_level
+# gauge must surface alongside.
 target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
-    --lanes 4 --quiet > "$tracedir/lanes4.sam"
-for width in 8 16 auto; do
-    target/release/genasm map --ref "$tracedir/ab_ref.fa" --reads "$tracedir/ab_reads.fq" \
-        --lanes "$width" --metrics json \
-        > "$tracedir/lanes_w.sam" 2> "$tracedir/lanes_w.json"
-    cmp -s "$tracedir/lanes4.sam" "$tracedir/lanes_w.sam" \
-        || { echo "--lanes $width SAM differs from --lanes 4" >&2; exit 1; }
-    grep -q '"map.simd_level"' "$tracedir/lanes_w.json" \
-        || { echo "--metrics json: missing map.simd_level gauge" >&2; exit 1; }
-done
+    --kernel scalar --quiet > "$tracedir/ab_scalar.sam"
+cmp -s <(grep -v '^@PG' "$tracedir/ab_cascade.sam") <(grep -v '^@PG' "$tracedir/ab_scalar.sam") \
+    || { echo "--kernel scalar SAM differs from the default lock-step SAM" >&2; exit 1; }
+grep -q '"map.simd_level"' "$tracedir/ab_cascade.json" \
+    || { echo "--metrics json: missing map.simd_level gauge" >&2; exit 1; }
 
 echo "==> genasm serve smoke (stdin FASTQ in, ordered SAM out, serve.* metrics)"
 # Pipe the simulated reads through the streaming front-end: the run
@@ -197,12 +195,11 @@ check_bench_fields BENCH_engine.json \
     jobs_prefilled distance_prefilled_secs \
     job_latency_p50_us job_latency_p99_us chunk_latency_p50_us
 check_bench_fields BENCH_dc_multi.json \
-    kernel_full kernel_stream kernel_filter engine pairs_per_sec occupancy \
-    speedup_vs_chunked rows_issued rows_vs_flat filter_threshold \
+    kernel_full kernel_filter engine pairs_per_sec occupancy \
+    rows_issued rows_vs_flat filter_threshold \
     tb_rows distance_secs job_latency_p50_us job_latency_p99_us \
-    simd_level simd_level_rank auto_lanes_full auto_lanes_distance \
-    kernel_fused_hit_test fused_scan_ops fallback_scan_ops \
-    per_claim_occupancy cross_claim_occupancy cross_claim
+    simd_level simd_level_rank \
+    kernel_fused_hit_test fused_scan_ops fallback_scan_ops
 check_bench_fields BENCH_map.json \
     pipeline reads_per_sec occupancy seed_seconds filter_seconds align_seconds \
     simd_level \
