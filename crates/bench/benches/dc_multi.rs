@@ -1,6 +1,6 @@
 //! Lock-step multi-window DC kernel throughput: scalar vs lock-step at
-//! 1/4/8/16 lanes (with lane occupancy), full vs distance-only mode,
-//! the fused occurrence hit-test, the filter's occurrence lanes, and
+//! 1/4 lanes (with lane occupancy), full vs distance-only mode, the
+//! shared-text occurrence stream, the filter's occurrence lanes, and
 //! the end-to-end engine effect (scalar vs lock-step dispatch at one
 //! worker, each with its full-alignment vs distance-only-scan A/B, the
 //! two halves of the mapper's two-phase execution model).
@@ -14,10 +14,11 @@ use genasm_bench::harness::{histogram_fields, measure_throughput, JsonReport};
 use genasm_core::alphabet::Dna;
 use genasm_core::bitap::{matches_within_many_counted, ScanMetrics};
 use genasm_core::cascade::CascadePattern;
+use genasm_core::dc::MAX_WINDOW;
 use genasm_core::dc::{occurrence_distance_into, window_dc_distance_into, window_dc_into, DcArena};
 use genasm_core::dc_multi::{
-    window_dc_multi_distance_into, window_dc_multi_into, DcLaneStream, LaneLoad, MultiDcArena,
-    MultiLane,
+    window_dc_multi_distance_into, window_dc_multi_into, DcLaneStream, MultiDcArena, MultiLane,
+    STREAM_LANES, STREAM_LEVELS,
 };
 use genasm_core::dc_wide::{occurrence_distance_lanes, OccurrenceLaneJob, OccurrenceLaneScratch};
 use genasm_core::simd::simd_level;
@@ -134,35 +135,33 @@ fn run_lockstep<const L: usize, const STORE: bool>(
     }
 }
 
-/// Streams every pair through a persistent-lane occurrence
-/// [`DcLaneStream`], refilling each lane the moment it resolves.
-fn run_stream<const L: usize>(pairs: &[(Vec<u8>, Vec<u8>)], stream: &mut DcLaneStream<L>) {
-    let mut next = 0usize;
-    let mut resolved = Vec::with_capacity(L);
-    let feed = |stream: &mut DcLaneStream<L>, lane: usize, next: &mut usize| loop {
-        if *next >= pairs.len() {
-            stream.release_lane(lane);
-            return;
-        }
-        let (t, p) = &pairs[*next];
-        *next += 1;
-        match stream.refill_lane::<Dna>(lane, t, p, p.len()) {
-            Ok(LaneLoad::Pending) => return,
-            Ok(LaneLoad::Resolved) => {
-                criterion::black_box(stream.outcome(lane));
+/// Scans every job's 64-character read blocks over the job's text
+/// through the shared-text occurrence stream, one job per text load,
+/// refilling each lane with the job's next block the moment it
+/// resolves (the engine's phase-1 shape, without its budget fold).
+fn run_stream(jobs: &[DistanceJob], stream: &mut DcLaneStream) {
+    let mut resolved = Vec::with_capacity(STREAM_LANES);
+    for job in jobs {
+        stream.load_text::<Dna>(&job.text);
+        let mut blocks = job.pattern.chunks(MAX_WINDOW);
+        let mut feed = |stream: &mut DcLaneStream, lane: usize| {
+            for block in blocks.by_ref() {
+                if stream.refill_lane::<Dna>(lane, block, block.len()).is_ok() {
+                    return;
+                }
             }
-            Err(_) => {}
+        };
+        for lane in 0..STREAM_LANES {
+            feed(stream, lane);
         }
-    };
-    for lane in 0..L {
-        feed(stream, lane, &mut next);
-    }
-    while stream.active_lanes() > 0 {
-        resolved.clear();
-        stream.step(&mut resolved);
-        for &lane in &resolved {
-            criterion::black_box(stream.outcome(lane));
-            feed(stream, lane, &mut next);
+        while stream.active_lanes() > 0 {
+            resolved.clear();
+            stream.step(&mut resolved);
+            for &lane in &resolved {
+                criterion::black_box(stream.outcome(lane));
+                stream.release_lane(lane);
+                feed(stream, lane);
+            }
         }
     }
 }
@@ -197,9 +196,8 @@ fn bench_dc_multi(c: &mut Criterion) {
             .map(|n| n.get())
             .unwrap_or(1) as f64,
     );
-    // The detected SIMD tier, the widest row kernel the lane widths
-    // below can run on (0 = portable, 1 = AVX2, 2 = AVX-512; only the
-    // 8- and 16-lane legs use AVX-512).
+    // The detected SIMD tier the row kernels below run on (0 =
+    // portable, 1 = AVX2).
     let tier = simd_level();
     report.field_str("simd_level", tier.name());
     report.field_num("simd_level_rank", tier.rank() as f64);
@@ -214,8 +212,6 @@ fn bench_dc_multi(c: &mut Criterion) {
     });
     let mut a1 = MultiDcArena::<1>::new();
     let mut a4 = MultiDcArena::<4>::new();
-    let mut a8 = MultiDcArena::<8>::new();
-    let mut a16 = MultiDcArena::<16>::new();
     let rate1 = best_rate(pairs.len(), reps, || {
         run_lockstep::<1, true>(&pairs, &mut a1)
     });
@@ -224,14 +220,6 @@ fn bench_dc_multi(c: &mut Criterion) {
         run_lockstep::<4, true>(&pairs, &mut a4)
     });
     let occ4 = occupancy(a4.take_row_counters());
-    let rate8 = best_rate(pairs.len(), reps, || {
-        run_lockstep::<8, true>(&pairs, &mut a8)
-    });
-    let occ8 = occupancy(a8.take_row_counters());
-    let rate16 = best_rate(pairs.len(), reps, || {
-        run_lockstep::<16, true>(&pairs, &mut a16)
-    });
-    let occ16 = occupancy(a16.take_row_counters());
     report.record(
         "kernel_full",
         &[
@@ -242,12 +230,7 @@ fn bench_dc_multi(c: &mut Criterion) {
             ("occupancy", 1.0),
         ],
     );
-    for (lanes, rate, occ) in [
-        (1usize, rate1, occ1),
-        (4, rate4, occ4),
-        (8, rate8, occ8),
-        (16, rate16, occ16),
-    ] {
+    for (lanes, rate, occ) in [(1usize, rate1, occ1), (4, rate4, occ4)] {
         report.record(
             "kernel_full",
             &[
@@ -277,18 +260,7 @@ fn bench_dc_multi(c: &mut Criterion) {
     let distance_4 = best_rate(pairs.len(), reps, || {
         run_lockstep::<4, false>(&pairs, &mut a4)
     });
-    let distance_8 = best_rate(pairs.len(), reps, || {
-        run_lockstep::<8, false>(&pairs, &mut a8)
-    });
-    let distance_16 = best_rate(pairs.len(), reps, || {
-        run_lockstep::<16, false>(&pairs, &mut a16)
-    });
-    for (lanes, rate) in [
-        (1usize, scalar_distance),
-        (4, distance_4),
-        (8, distance_8),
-        (16, distance_16),
-    ] {
+    for (lanes, rate) in [(1usize, scalar_distance), (4, distance_4)] {
         report.record(
             "kernel_distance_only",
             &[
@@ -303,45 +275,60 @@ fn bench_dc_multi(c: &mut Criterion) {
         );
     }
 
-    // ---- Kernel level: fused occurrence hit-test ---------------------
-    // The occurrence-scan stream folds each lane's "MSB clear
-    // anywhere?" probe into the distance row it just computed (one AND
-    // accumulator per lane), so it scans a lane's column only in the
-    // `d >= m` exactness fallback: exactly `n` scan ops for each window
-    // resolving at `d = m`, none for any other.
-    let mut fused_stream = DcLaneStream::<4>::occurrence_scan();
-    run_stream::<4>(&pairs, &mut fused_stream);
-    let (fused_rows, _) = fused_stream.take_row_counters();
-    let fused_ops = fused_stream.take_scan_ops();
-    let fallback_ops: u64 = pairs
+    // ---- Kernel level: shared-text occurrence stream ----------------
+    // The phase-1 shape: each engine job's 64-character read blocks
+    // scanned over the job's text, four lanes per pass, two levels per
+    // pass, the hit test one AND accumulator per level. Buffers hold
+    // exactly the text's positions, so the accumulator is exact at
+    // every depth and no probe falls back to a column scan: each block
+    // needs exactly its scalar occurrence distance + 1 levels (row 0
+    // included), and the stream's useful-level counter must equal that
+    // analytic count.
+    let jobs = engine_jobs(n_jobs, 0xBE9C);
+    let stream_jobs: Vec<DistanceJob> = jobs
         .iter()
-        .filter(|(t, p)| {
-            let d = occurrence_distance_into::<Dna>(t, p, p.len(), &mut scalar_arena);
-            matches!(d, Ok(Some(d)) if d == p.len())
+        .map(|job| DistanceJob::new(&job.text, &job.pattern, job.pattern.len()))
+        .collect();
+    let stream_blocks: usize = stream_jobs
+        .iter()
+        .map(|j| j.pattern.len().div_ceil(MAX_WINDOW))
+        .sum();
+    let mut fused_stream = DcLaneStream::new();
+    run_stream(&stream_jobs, &mut fused_stream);
+    let (fused_rows, fused_useful) = fused_stream.take_row_counters();
+    let analytic_useful: u64 = stream_jobs
+        .iter()
+        .flat_map(|j| j.pattern.chunks(MAX_WINDOW).map(move |b| (&j.text, b)))
+        .map(|(t, b)| {
+            let d = occurrence_distance_into::<Dna>(t, b, b.len(), &mut scalar_arena);
+            d.expect("bench blocks are clean DNA")
+                .expect("d = m always hits") as u64
+                + 1
         })
-        .map(|(t, _)| t.len() as u64)
         .sum();
     assert_eq!(
-        fused_ops, fallback_ops,
-        "fused hit-tests must scan only in the d >= m fallback"
+        fused_useful, analytic_useful,
+        "every stream block must resolve at its scalar depth, with no fallback scan"
     );
-    let fused_rate = best_rate(pairs.len(), reps, || {
-        run_stream::<4>(&pairs, &mut fused_stream)
+    assert_eq!(fused_rows % (STREAM_LANES * STREAM_LEVELS) as u64, 0);
+    let fused_rate = best_rate(stream_blocks, reps, || {
+        run_stream(&stream_jobs, &mut fused_stream)
     });
-    report.field_num("fused_scan_ops", fused_ops as f64);
-    report.field_num("fallback_scan_ops", fallback_ops as f64);
+    report.field_num("fused_rows_useful", fused_useful as f64);
+    report.field_num("analytic_rows_useful", analytic_useful as f64);
     report.record(
         "kernel_fused_hit_test",
         &[
-            ("lanes", 4.0),
-            ("pairs_per_sec", fused_rate),
+            ("lanes", STREAM_LANES as f64),
+            ("levels", STREAM_LEVELS as f64),
+            ("blocks_per_sec", fused_rate),
             ("rows_issued", fused_rows as f64),
-            ("scan_ops", fused_ops as f64),
+            ("occupancy", occupancy((fused_rows, fused_useful))),
         ],
     );
     println!(
-        "kernel occurrence hit-test fused: {fused_rate:.0} pairs/s \
-         ({fused_ops} scan ops, {fallback_ops} in the d >= m fallback)"
+        "kernel occurrence stream: {fused_rate:.0} blocks/s \
+         ({fused_useful} useful levels = the analytic count, {fused_rows} issued)"
     );
 
     // ---- Kernel level: flat filter scan vs occurrence lanes ----------
@@ -432,7 +419,6 @@ fn bench_dc_multi(c: &mut Criterion) {
     );
 
     // ---- Engine level: scalar vs lock-step, one worker ---------------
-    let jobs = engine_jobs(n_jobs, 0xBE9C);
     let dispatches = [DcDispatch::Scalar, DcDispatch::Lockstep];
     // Phase-1 counterparts of the same jobs: the distance-only scans
     // the two-phase mapper resolves candidates on (budget = the 15%

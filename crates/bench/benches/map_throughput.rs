@@ -278,9 +278,24 @@ fn bench_map_throughput(c: &mut Criterion) {
         );
     }
 
-    // Interleave the repetitions — one sequential pass then one pass
-    // per batch configuration, `reps` times over — so slow drift in
-    // the shared-CPU container's load hits every configuration alike
+    // The telemetry A/B legs: the same 1-worker lock-step two-phase
+    // configuration with telemetry fully off (the default
+    // mapper/engine, atomic-flag gated) and fully on (metrics + span
+    // tracing).
+    let on_telemetry = Telemetry::with_flags(true, true);
+    let on_mapper = ReadMapper::build(genome.sequence(), MapperConfig::default())
+        .with_telemetry(on_telemetry.clone());
+    let on_engine = on_mapper
+        .engine(1, DcDispatch::Lockstep)
+        .with_telemetry(on_telemetry.clone());
+    let off_engine = two_phase_mapper.engine(1, DcDispatch::Lockstep);
+    let mut off_rate = f64::MIN;
+    let mut on_rate = f64::MIN;
+
+    // Interleave the repetitions — one sequential pass, one pass per
+    // batch configuration, then one telemetry-off and one
+    // telemetry-on pass, `reps` times over — so slow drift in the
+    // shared-CPU container's load hits every configuration alike
     // instead of whichever happened to run first.
     let mut sequential_rate = f64::MIN;
     let mut batch_rates = [f64::MIN; N_CONFIGS];
@@ -312,6 +327,15 @@ fn bench_map_throughput(c: &mut Criterion) {
                 *timings = pass_timings;
             }
         }
+        off_rate = off_rate.max(one_rate(n_reads, || {
+            criterion::black_box(two_phase_mapper.map_batch_with_engine(&read_refs, &off_engine));
+        }));
+        on_rate = on_rate.max(one_rate(n_reads, || {
+            criterion::black_box(on_mapper.map_batch_with_engine(&read_refs, &on_engine));
+        }));
+        // Drain the span sink between repetitions so the enabled run
+        // measures steady-state recording, not sink growth.
+        on_telemetry.tracer.take_events();
     }
 
     pipeline_row(
@@ -381,33 +405,12 @@ fn bench_map_throughput(c: &mut Criterion) {
     );
 
     // ---- Telemetry overhead A/B --------------------------------------
-    // The same 1-worker lock-step two-phase configuration with
-    // telemetry fully off (the default mapper/engine, atomic-flag
-    // gated) and fully on (metrics + span tracing), interleaved
-    // best-of-reps. The disabled path is the product path: it must not
-    // cost measurable throughput against the identically-configured
-    // main-loop measurement above (0.5x bounds generously for the
-    // shared-CPU container's ±20% wall-clock jitter).
-    let on_telemetry = Telemetry::with_flags(true, true);
-    let on_mapper = ReadMapper::build(genome.sequence(), MapperConfig::default())
-        .with_telemetry(on_telemetry.clone());
-    let on_engine = on_mapper
-        .engine(1, DcDispatch::Lockstep)
-        .with_telemetry(on_telemetry.clone());
-    let off_engine = two_phase_mapper.engine(1, DcDispatch::Lockstep);
-    let mut off_rate = f64::MIN;
-    let mut on_rate = f64::MIN;
-    for _ in 0..reps {
-        off_rate = off_rate.max(one_rate(n_reads, || {
-            criterion::black_box(two_phase_mapper.map_batch_with_engine(&read_refs, &off_engine));
-        }));
-        on_rate = on_rate.max(one_rate(n_reads, || {
-            criterion::black_box(on_mapper.map_batch_with_engine(&read_refs, &on_engine));
-        }));
-        // Drain the span sink between repetitions so the enabled run
-        // measures steady-state recording, not sink growth.
-        on_telemetry.tracer.take_events();
-    }
+    // Both legs ran in the main loop above, best of the same `reps`
+    // passes interleaved with the identically-configured main-loop
+    // measurement. The disabled path is the product path: it must not
+    // cost measurable throughput against that measurement (0.5x bounds
+    // generously for the shared-CPU container's ±20% wall-clock
+    // jitter).
     report.field_num("telemetry_off_reads_per_sec", off_rate);
     report.field_num("telemetry_on_reads_per_sec", on_rate);
     report.field_num("telemetry_overhead", 1.0 - on_rate / off_rate);

@@ -53,6 +53,25 @@ impl Args {
         Ok(args)
     }
 
+    /// Rejects any `--key` (valued option or switch) outside `known`,
+    /// naming the alphabetically first unknown one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown option.
+    pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .filter(|key| !known.contains(&key.as_str()))
+            .min();
+        match unknown {
+            Some(key) => Err(format!("unknown option --{key} for {}", self.command)),
+            None => Ok(()),
+        }
+    }
+
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
@@ -130,6 +149,17 @@ mod tests {
         assert_eq!(args.number("absent", 7usize).unwrap(), 7);
         let bad = Args::parse(["x", "--k", "abc"]).unwrap();
         assert!(bad.number::<usize>("k", 0).is_err());
+    }
+
+    #[test]
+    fn check_known_rejects_unlisted_options_and_switches() {
+        let args = Args::parse(["map", "--ref", "r.fa", "--quiet"]).unwrap();
+        assert!(args.check_known(&["ref", "quiet"]).is_ok());
+        let err = args.check_known(&["ref"]).unwrap_err();
+        assert!(err.contains("--quiet"), "{err}");
+        let args = Args::parse(["map", "--wrokers", "2", "--lanes", "8"]).unwrap();
+        let err = args.check_known(&["workers"]).unwrap_err();
+        assert_eq!(err, "unknown option --lanes for map");
     }
 
     #[test]

@@ -218,19 +218,74 @@ fn main() {
     }
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), CliError>;
+
+/// The `--strict`/`--lenient` input-policy switches.
+const PARSE_KEYS: [&str; 2] = ["strict", "lenient"];
+/// The telemetry options of `map`, `batch`, `serve` and `filter`.
+const TELEMETRY_KEYS: [&str; 3] = ["metrics", "quiet", "trace-out"];
+/// The mapper options `map`, `batch` and `serve` share.
+const MAPPER_KEYS: [&str; 5] = ["ref", "kernel", "align-mode", "filter-mode", "error-rate"];
+
 fn run(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw).map_err(CliError::Usage)?;
-    match args.command.as_str() {
-        "map" => cmd_map(&args),
-        "batch" => cmd_batch(&args),
-        "serve" => cmd_serve(&args),
-        "align" => cmd_align(&args),
-        "distance" => cmd_distance(&args),
-        "filter" => cmd_filter(&args),
-        "simulate" => cmd_simulate(&args),
-        "" => Err(CliError::Usage("no command given".to_string())),
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
-    }
+    let (command, own_keys, shared_keys): (Command, &[&str], &[&[&str]]) =
+        match args.command.as_str() {
+            "map" => (
+                cmd_map,
+                &["reads", "workers", "shards", "pipeline", "deadline-ms"],
+                &[&MAPPER_KEYS, &PARSE_KEYS, &TELEMETRY_KEYS],
+            ),
+            "batch" => (
+                cmd_batch,
+                &["reads", "threads", "sam", "deadline-ms"],
+                &[&MAPPER_KEYS, &PARSE_KEYS, &TELEMETRY_KEYS],
+            ),
+            "serve" => (
+                cmd_serve,
+                &[
+                    "listen",
+                    "workers",
+                    "shards",
+                    "batch-reads",
+                    "batch-wait-ms",
+                    "max-inflight-reads",
+                    "request-deadline-ms",
+                    "pipeline-workers",
+                ],
+                &[&MAPPER_KEYS, &PARSE_KEYS, &TELEMETRY_KEYS],
+            ),
+            "align" => (cmd_align, &["ref", "query", "k"], &[]),
+            "distance" => (cmd_distance, &["a", "b"], &[]),
+            "filter" => (
+                cmd_filter,
+                &["ref", "reads", "threshold", "kernel"],
+                &[&TELEMETRY_KEYS],
+            ),
+            "simulate" => (
+                cmd_simulate,
+                &[
+                    "genome-size",
+                    "count",
+                    "length",
+                    "seed",
+                    "profile",
+                    "out-prefix",
+                ],
+                &[],
+            ),
+            "" => return Err(CliError::Usage("no command given".to_string())),
+            other => return Err(CliError::Usage(format!("unknown command {other:?}"))),
+        };
+    let known: Vec<&str> = shared_keys
+        .iter()
+        .flat_map(|keys| keys.iter())
+        .chain(own_keys)
+        .copied()
+        .collect();
+    args.check_known(&known).map_err(CliError::Usage)?;
+    command(&args)
 }
 
 /// Classifies a reader failure: stream breakage is I/O (exit 3),
@@ -1256,6 +1311,42 @@ mod tests {
             assert!(err.message().contains(needle), "{key}: {err:?}");
             assert_eq!(err.exit_code(), 2, "{key}");
         }
+    }
+
+    #[test]
+    fn unknown_options_are_usage_errors() {
+        // A misspelled option and a removed one both exit 2 before any
+        // file is read; the same key is fine where a command knows it.
+        for (command, key) in [
+            ("map", "--wrokers"),
+            ("map", "--lanes"),
+            ("filter", "--workers"),
+        ] {
+            let err = run(vec![
+                command.into(),
+                "--ref".into(),
+                "missing.fa".into(),
+                "--reads".into(),
+                "missing.fq".into(),
+                key.into(),
+                "2".into(),
+            ])
+            .unwrap_err();
+            assert!(
+                err.message().contains(&format!("unknown option {key}")),
+                "{command} {key}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 2, "{command} {key}");
+        }
+        let err = run(vec![
+            "distance".into(),
+            "--a".into(),
+            "x.fa".into(),
+            "--strict".into(),
+        ])
+        .unwrap_err();
+        assert!(err.message().contains("--strict"), "{err:?}");
+        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn record_stage_timings(metrics: &MetricsRegistry, timings: &StageTimings) {
     metrics.gauge("map.tb_windows").set(timings.tb_rows.0);
     metrics.gauge("map.tb_rows").set(timings.tb_rows.1);
     // The SIMD tier the lock-step kernels dispatched on (0 = portable,
-    // 1 = AVX2, 2 = AVX-512) — pins occupancy/row figures to the lane
+    // 1 = AVX2) — pins occupancy/row figures to the lane
     // width that produced them when comparing runs across hosts.
     metrics
         .gauge("map.simd_level")

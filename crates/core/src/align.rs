@@ -793,7 +793,7 @@ pub fn anchored_distance_into<A: Alphabet>(
 /// Works for patterns of any length (every block fits the single-word
 /// kernel), runs iterative-deepening depth per block (cheap on
 /// low-error reads), and is the scalar reference the engine's
-/// persistent-lane distance stream is tested against.
+/// shared-text distance stream is tested against.
 ///
 /// # Errors
 ///

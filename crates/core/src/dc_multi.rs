@@ -39,9 +39,10 @@
 //! idle PEs burn cycles in the hardware pipeline.
 //!
 //! The distance-only phase-1 scans run on a third shape instead: the
-//! persistent-lane occurrence stream ([`DcLaneStream`]), whose lanes
-//! each advance an unanchored block scan at its own depth and refill
-//! the moment it resolves.
+//! shared-text occurrence stream ([`DcLaneStream`]), whose lanes each
+//! advance an unanchored scan of their own pattern block over one
+//! shared text, at their own depth, two levels per text pass, and
+//! refill the moment they resolve.
 
 use crate::alphabet::Alphabet;
 use crate::dc::{boundary_state, MAX_WINDOW};
@@ -160,17 +161,13 @@ impl<const L: usize> MultiDcArena<L> {
         self.match_rows.len() + self.ins_rows.len() + self.del_rows.len() + self.spare.len()
     }
 
-    /// Lock-step row-slot accounting accumulated across runs:
-    /// `(issued, useful)`, where every full-width lock-step row issues
-    /// `L` lane-slots and a slot is useful when it advanced a window
-    /// that was still unresolved (row 0 is useful for every valid
-    /// lane). The gap between the two is the chunk-granularity waste:
-    /// a pass runs until its deepest window resolves.
-    pub fn row_counters(&self) -> (u64, u64) {
-        (self.rows_issued, self.rows_useful)
-    }
-
-    /// Returns and resets the [`row_counters`](Self::row_counters).
+    /// Returns and resets the lock-step row-slot accounting
+    /// accumulated across runs: `(issued, useful)`, where every
+    /// full-width lock-step row issues `L` lane-slots and a slot is
+    /// useful when it advanced a window that was still unresolved (row
+    /// 0 is useful for every valid lane). The gap between the two is
+    /// the chunk-granularity waste: a pass runs until its deepest
+    /// window resolves.
     pub fn take_row_counters(&mut self) -> (u64, u64) {
         let counters = (self.rows_issued, self.rows_useful);
         self.rows_issued = 0;
@@ -496,24 +493,25 @@ fn run_multi<A: Alphabet, const L: usize, const STORE: bool>(
     }
 }
 
-/// Outcome of a [`DcLaneStream::refill_lane`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneLoad {
-    /// The scan needs distance rows: [`DcLaneStream::step`] will
-    /// advance it and report it once it resolves.
-    Pending,
-    /// The scan resolved during the refill itself (the pattern occurs
-    /// exactly, or a zero budget): its outcome is readable immediately.
-    Resolved,
-}
+/// Lanes of the occurrence stream: one 256-bit AVX2 vector of `u64`s.
+pub const STREAM_LANES: usize = DEFAULT_LANES;
+const _: () = assert!(STREAM_LANES == 4, "the AVX2 stream pass holds four lanes");
 
-/// Lifecycle of one persistent lane.
+/// Distance levels every [`DcLaneStream::step`] advances each lane by:
+/// two levels per text pass halve the passes over the text and the
+/// rolling row while keeping the levels a resolving lane wastes low.
+pub const STREAM_LEVELS: usize = 2;
+
+/// One lane-interleaved row word: `row[lane]`.
+type LaneWords = [u64; STREAM_LANES];
+
+/// Lifecycle of one stream lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum LaneState {
-    /// No scan loaded; the lane's slots compute padding.
+    /// No scan loaded; the lane's slots compute values nobody reads.
     #[default]
     Idle,
-    /// A scan is being advanced one distance row per step.
+    /// A scan is being advanced.
     Active,
     /// The scan resolved; its outcome is readable until the lane is
     /// refilled or released.
@@ -524,85 +522,75 @@ enum LaneState {
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamLaneMeta {
     state: LaneState,
-    n: usize,
-    m: usize,
     msb: u64,
     k_max: usize,
-    /// Depth of the lane's newest computed row (`prev` holds `R[d]`).
-    d: usize,
+    /// Depth of the next level a step computes: 0 for a freshly
+    /// loaded scan, otherwise the rolling row holds `R[next - 1]`.
+    next: usize,
     /// Scan distance, `None` when `k_max` was exhausted; meaningful
     /// only in [`LaneState::Resolved`].
     outcome: Option<usize>,
 }
 
-/// The persistent-lane **unanchored occurrence scan**: `L` lanes that
-/// each carry an independent (text, pattern of at most [`MAX_WINDOW`]
-/// characters) scan at its own depth, with a
-/// [`refill_lane`](DcLaneStream::refill_lane) entry point so a lane is
-/// reloaded the moment its scan resolves — no lane idles waiting for
-/// the deepest scan of a batch. Each lane resolves at the first depth
-/// where its pattern occurs *anywhere* in its text; per-lane results
-/// are identical to the scalar
+/// The lock-step **unanchored occurrence scan** over one shared text:
+/// [`STREAM_LANES`] lanes, each carrying its own pattern of at most
+/// [`MAX_WINDOW`] characters at its own depth, all scanning the text
+/// last loaded with [`load_text`](DcLaneStream::load_text). Each lane
+/// resolves at the first depth where its pattern occurs *anywhere* in
+/// the text; per-lane results are identical to the scalar
 /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into).
 ///
 /// This is the kernel behind the engine's distance-only (phase-1)
-/// block scans, the software shape of the accelerator's in-flight
-/// window pool (§7): every [`step`](DcLaneStream::step) advances every
-/// loaded lane by one distance row — each lane at its own depth, with
-/// per-lane boundary states — and resolved lanes are handed back for
-/// immediate refill. Only the rolling rows are kept (no TB-SRAM), and
-/// the hit test rides inside the row kernel as a per-lane AND
-/// accumulator ([`dc_row_distance_acc`]).
+/// block scans, where the lanes carry the 64-character blocks of one
+/// read against that read's candidate text. The text is encoded once
+/// per load as symbol codes; a [`refill_lane`](DcLaneStream::refill_lane)
+/// only writes the lane's column of a code-major symbol → mask table,
+/// so reloading a lane costs `O(σ)`, not `O(n)`. Every
+/// [`step`](DcLaneStream::step) is one pass over the text that advances
+/// every loaded lane by [`STREAM_LEVELS`] distance levels — a freshly
+/// loaded lane's row 0 included — keeping the intermediate levels in
+/// registers and storing only the last. The hit test rides inside the
+/// pass as one AND accumulator per level; buffers hold exactly the
+/// text's positions, so the accumulator is exact at every depth.
 #[derive(Debug)]
-pub struct DcLaneStream<const L: usize> {
-    /// Text positions currently allocated (the longest engaged text).
-    capacity: usize,
-    /// Pattern bitmask per text position, lane-interleaved; padding and
-    /// idle-lane positions hold all-ones.
-    text_pm: Vec<[u64; L]>,
-    /// Rolling rows: `prev[i][lane]` holds lane's `R[d_lane][i]`.
-    prev: Vec<[u64; L]>,
-    cur: Vec<[u64; L]>,
-    meta: [StreamLaneMeta; L],
+pub struct DcLaneStream {
+    /// The shared text as alphabet codes, at its exact length.
+    codes: Vec<u8>,
+    /// The shared text's validation error, reported by every refill.
+    text_error: Option<AlignError>,
+    /// Pattern mask per symbol code and lane: `table[code][lane]`.
+    /// Indexed by a `u8` code, so lookups need no bounds check; only
+    /// the alphabet's first σ entries are ever read.
+    table: Box<[LaneWords; 256]>,
+    /// Rolling row: `rows[i][lane]` holds the lane's `R[d_lane][i]`.
+    rows: Vec<LaneWords>,
+    meta: [StreamLaneMeta; STREAM_LANES],
     rows_issued: u64,
     rows_useful: u64,
-    /// Scalar column-scan operations (one per text position read by a
-    /// per-lane probe scan) performed since the last
-    /// [`take_scan_ops`](Self::take_scan_ops). The fused accumulator
-    /// answers every probe below depth `m`; only the rare `d >= m`
-    /// exactness fallback scans.
-    scan_ops: u64,
 }
 
-impl<const L: usize> DcLaneStream<L> {
-    /// An empty occurrence stream; buffers are grown on first use.
-    pub fn occurrence_scan() -> Self {
+impl Default for DcLaneStream {
+    fn default() -> Self {
         DcLaneStream {
-            capacity: 0,
-            text_pm: Vec::new(),
-            prev: Vec::new(),
-            cur: Vec::new(),
-            meta: [StreamLaneMeta::default(); L],
+            codes: Vec::new(),
+            text_error: Some(AlignError::EmptyText),
+            table: Box::new([[u64::MAX; STREAM_LANES]; 256]),
+            rows: Vec::new(),
+            meta: [StreamLaneMeta::default(); STREAM_LANES],
             rows_issued: 0,
             rows_useful: 0,
-            scan_ops: 0,
         }
     }
+}
 
-    /// Scalar column-scan operations performed by probe scans since
-    /// creation or the last [`take_scan_ops`](Self::take_scan_ops):
-    /// one per text position read: `n` for each lane probed at a depth
-    /// `d >= m` (the exactness fallback), 0 otherwise.
-    pub fn scan_ops(&self) -> u64 {
-        self.scan_ops
+impl DcLaneStream {
+    /// An empty occurrence stream (its text is empty until the first
+    /// [`load_text`](Self::load_text)); buffers are grown on first use.
+    pub fn new() -> Self {
+        DcLaneStream::default()
     }
 
-    /// Returns and resets [`scan_ops`](Self::scan_ops).
-    pub fn take_scan_ops(&mut self) -> u64 {
-        std::mem::take(&mut self.scan_ops)
-    }
-
-    /// Lanes currently advancing a scan.
+    /// Lanes a [`step`](Self::step) will advance (loaded, unresolved).
     pub fn active_lanes(&self) -> usize {
         self.meta
             .iter()
@@ -610,18 +598,11 @@ impl<const L: usize> DcLaneStream<L> {
             .count()
     }
 
-    /// Lock-step row-slot accounting accumulated across the stream's
-    /// lifetime: `(issued, useful)` — every full-width step issues `L`
-    /// lane-slots, of which the slots advancing a loaded, unresolved
-    /// scan are useful. (Per-lane `d = 0` initialization happens
-    /// inside [`refill_lane`](Self::refill_lane) at exact width and is
-    /// not lock-step work, so it is not counted; the chunked kernel's
-    /// full-width row 0 is.)
-    pub fn row_counters(&self) -> (u64, u64) {
-        (self.rows_issued, self.rows_useful)
-    }
-
-    /// Returns and resets the [`row_counters`](Self::row_counters).
+    /// Returns and resets the row-slot accounting accumulated since
+    /// the last call: `(issued, useful)` — every step issues
+    /// [`STREAM_LANES`] × [`STREAM_LEVELS`] lane-levels, of which the
+    /// levels a loaded lane needed (up to and including the one that
+    /// resolved it, row 0 included) are useful.
     pub fn take_row_counters(&mut self) -> (u64, u64) {
         let counters = (self.rows_issued, self.rows_useful);
         self.rows_issued = 0;
@@ -649,194 +630,255 @@ impl<const L: usize> DcLaneStream<L> {
         self.meta[lane].state = LaneState::Idle;
     }
 
-    /// Loads a scan into `lane`, replacing whatever ran there — the
-    /// persistent-lane entry point: call it the moment the lane's
-    /// previous scan resolves. On [`LaneLoad::Resolved`] the scan
-    /// resolved during the refill itself; on error the lane is left
-    /// idle.
+    /// Makes `text` the text every lane scans, encoding it once as
+    /// symbol codes; every lane is released. An empty or invalid text
+    /// is not reported here but by each later
+    /// [`refill_lane`](Self::refill_lane), in the scalar kernel's
+    /// precedence.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the alphabet has more than 256 symbols.
+    pub fn load_text<A: Alphabet>(&mut self, text: &[u8]) {
+        assert!(A::SIZE <= 256, "symbol codes are bytes");
+        self.meta = [StreamLaneMeta::default(); STREAM_LANES];
+        self.codes.clear();
+        self.text_error = None;
+        for (pos, &byte) in text.iter().enumerate() {
+            match A::index(byte) {
+                Some(code) => self.codes.push(code as u8),
+                None => {
+                    self.codes.clear();
+                    self.text_error = Some(AlignError::InvalidSymbol { pos, byte });
+                    break;
+                }
+            }
+        }
+        if text.is_empty() {
+            self.text_error = Some(AlignError::EmptyText);
+        }
+        self.rows.resize(self.codes.len(), [0; STREAM_LANES]);
+    }
+
+    /// Loads a scan of `pattern` over the shared text into `lane`,
+    /// replacing whatever ran there; the next [`step`](Self::step)
+    /// computes its row 0. On error the lane is left idle.
     ///
     /// # Errors
     ///
     /// The same input errors, in the same precedence, as the scalar
-    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into):
-    /// empty pattern, empty text, pattern longer than [`MAX_WINDOW`],
-    /// invalid symbol (first text position in ascending order).
+    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into)
+    /// on the shared text: empty pattern, empty text, pattern longer
+    /// than [`MAX_WINDOW`], invalid pattern symbol, invalid text symbol
+    /// (first position in ascending order).
     pub fn refill_lane<A: Alphabet>(
         &mut self,
         lane: usize,
-        text: &[u8],
         pattern: &[u8],
         k_max: usize,
-    ) -> Result<LaneLoad, AlignError> {
-        assert!(lane < L, "lane {lane} out of range for {L} lanes");
+    ) -> Result<(), AlignError> {
         self.meta[lane].state = LaneState::Idle;
-        let pm: PatternBitmasks64<A> = if pattern.is_empty() {
+        if pattern.is_empty() {
             return Err(AlignError::EmptyPattern);
-        } else if text.is_empty() {
+        }
+        if self.text_error == Some(AlignError::EmptyText) {
             return Err(AlignError::EmptyText);
-        } else if pattern.len() > MAX_WINDOW {
+        }
+        if pattern.len() > MAX_WINDOW {
             return Err(AlignError::InvalidWindow { w: pattern.len() });
-        } else {
-            PatternBitmasks64::<A>::new(pattern)?
-        };
-        let n = text.len();
-        self.ensure_capacity(n);
-        for (i, &byte) in text.iter().enumerate() {
-            match pm.mask(byte) {
-                Some(mask) => self.text_pm[i][lane] = mask,
-                None => {
-                    // Reset the column to padding so the lane stays
-                    // inert; same error the scalar kernel reports.
-                    for row in self.text_pm.iter_mut().take(i) {
-                        row[lane] = u64::MAX;
-                    }
-                    return Err(AlignError::InvalidSymbol { pos: i, byte });
-                }
-            }
         }
-        for row in self.text_pm[n..].iter_mut() {
-            row[lane] = u64::MAX;
+        let pm = PatternBitmasks64::<A>::new(pattern)?;
+        if let Some(e) = &self.text_error {
+            return Err(e.clone());
         }
-
-        // Per-lane row 0 at exact width: R[0][i] = (R[0][i+1] << 1) |
-        // PM, with padding positions idling at boundary_state(0) (all
-        // ones) so the full-width steps read the right boundary at
-        // i = n - 1. The probe is the AND over every position: its MSB
-        // is clear iff some position's is.
-        for row in self.prev[n..].iter_mut() {
-            row[lane] = u64::MAX;
+        for (code, entry) in self.table.iter_mut().enumerate().take(A::SIZE) {
+            entry[lane] = pm.mask_by_index(code);
         }
-        let mut r = u64::MAX;
-        let mut probe = u64::MAX;
-        for i in (0..n).rev() {
-            r = (r << 1) | self.text_pm[i][lane];
-            self.prev[i][lane] = r;
-            probe &= r;
-        }
-
-        let msb = 1u64 << (pattern.len() - 1);
-        let meta = &mut self.meta[lane];
-        *meta = StreamLaneMeta {
+        self.meta[lane] = StreamLaneMeta {
             state: LaneState::Active,
-            n,
-            m: pattern.len(),
-            msb,
+            msb: 1u64 << (pattern.len() - 1),
             k_max,
-            d: 0,
+            next: 0,
             outcome: None,
         };
-        if probe & msb == 0 {
-            meta.state = LaneState::Resolved;
-            meta.outcome = Some(0);
-            Ok(LaneLoad::Resolved)
-        } else if k_max == 0 {
-            meta.state = LaneState::Resolved;
-            Ok(LaneLoad::Resolved)
-        } else {
-            Ok(LaneLoad::Pending)
-        }
+        Ok(())
     }
 
-    /// Advances every active lane by one distance row — each lane at
-    /// its own depth, with per-lane boundary states — and appends the
-    /// lanes that resolved this step to `resolved`. A step with no
-    /// active lane is a no-op.
+    /// One pass over the shared text: advances every loaded lane by
+    /// [`STREAM_LEVELS`] distance levels — a fresh lane's first level
+    /// is its row 0 — and appends the lanes that resolved to
+    /// `resolved`. A step with no loaded lane is a no-op.
     pub fn step(&mut self, resolved: &mut Vec<usize>) {
-        let mut init_d = [u64::MAX; L];
-        let mut init_dm1 = [u64::MAX; L];
-        let mut active = 0usize;
+        // Per lane: the boundary states the recurrence starts each
+        // level from, and the fresh-lane mask.
+        let mut fresh = [0u64; STREAM_LANES];
+        let mut dm1 = [u64::MAX; STREAM_LANES];
+        let mut init = [[u64::MAX; STREAM_LANES]; STREAM_LEVELS];
         for (lane, meta) in self.meta.iter().enumerate() {
-            if meta.state == LaneState::Active {
-                active += 1;
-                init_d[lane] = boundary_state(meta.d + 1);
-                init_dm1[lane] = boundary_state(meta.d);
+            if meta.state != LaneState::Active {
+                continue;
+            }
+            match meta.next.checked_sub(1) {
+                None => fresh[lane] = u64::MAX,
+                Some(d) => dm1[lane] = boundary_state(d),
+            }
+            for (level, init) in init.iter_mut().enumerate() {
+                init[lane] = boundary_state(meta.next + level);
             }
         }
-        if active == 0 {
+        if self.active_lanes() == 0 {
             return;
         }
-        self.rows_issued += L as u64;
-        self.rows_useful += active as u64;
+        self.rows_issued += (STREAM_LANES * STREAM_LEVELS) as u64;
 
-        let mut acc = [u64::MAX; L];
-        dc_row_distance_acc::<L>(
-            &self.text_pm,
-            &self.prev,
-            &mut self.cur,
-            &init_d,
-            &init_dm1,
-            &mut acc,
+        let acc = stream_pass(
+            &self.codes,
+            &self.table,
+            &mut self.rows,
+            &fresh,
+            &dm1,
+            &init,
         );
-        std::mem::swap(&mut self.prev, &mut self.cur);
 
-        let mut scan_ops = 0u64;
+        // Each level a lane needed is useful, up to and including the
+        // one that resolves it.
         for (lane, meta) in self.meta.iter_mut().enumerate() {
             if meta.state != LaneState::Active {
                 continue;
             }
-            meta.d += 1;
-            let probe = if meta.d < meta.m {
-                // The accumulator ANDs over the full allocated width,
-                // but an active lane's padding positions idle at
-                // `boundary_state(d)`, whose MSB stays set while
-                // `d < m` — so the full-width AND agrees exactly with
-                // the exact-width scan.
-                acc[lane]
-            } else {
-                // The `d >= m` exactness fallback (padding MSBs have
-                // gone clear): scan the lane's exact-width column.
-                scan_ops += meta.n as u64;
-                let mut lane_acc = u64::MAX;
-                for row in self.prev[..meta.n].iter() {
-                    lane_acc &= row[lane];
-                }
-                lane_acc
-            };
-            if probe & meta.msb == 0 {
-                meta.state = LaneState::Resolved;
-                meta.outcome = Some(meta.d);
-                resolved.push(lane);
-            } else if meta.d == meta.k_max {
-                meta.state = LaneState::Resolved;
-                meta.outcome = None;
-                resolved.push(lane);
-            }
-        }
-        self.scan_ops += scan_ops;
-    }
-
-    /// Grows the shared buffers to `n` text positions, preserving the
-    /// padding invariant: positions beyond an engaged lane's text hold
-    /// that lane's boundary state.
-    fn ensure_capacity(&mut self, n: usize) {
-        if n <= self.capacity {
-            return;
-        }
-        let old = self.capacity;
-        self.capacity = n;
-        self.text_pm.resize(n, [u64::MAX; L]);
-        self.prev.resize(n, [0u64; L]);
-        self.cur.resize(n, [0u64; L]);
-        for (lane, meta) in self.meta.iter().enumerate() {
-            if meta.state == LaneState::Active {
-                let boundary = boundary_state(meta.d);
-                for row in self.prev[old..].iter_mut() {
-                    row[lane] = boundary;
+            for acc in &acc {
+                let depth = meta.next;
+                meta.next += 1;
+                self.rows_useful += 1;
+                let hit = acc[lane] & meta.msb == 0;
+                if hit || depth == meta.k_max {
+                    meta.state = LaneState::Resolved;
+                    meta.outcome = hit.then_some(depth);
+                    resolved.push(lane);
+                    break;
                 }
             }
         }
     }
 }
 
+/// One stream pass: advances every lane of `rows` (holding each lane's
+/// `R[d]`) by [`STREAM_LEVELS`] levels in place, and returns per level
+/// the AND of that level's `R` word over every text position — the
+/// "pattern occurs anywhere" probe, whose MSB is clear iff some
+/// position's is.
+///
+/// Per lane, `init[j]` is level `j`'s boundary state before any text
+/// is consumed and `dm1` the boundary of the row the first level
+/// deletes from; `fresh` is all-ones on lanes whose first level is
+/// row 0, which turns that level's gap term into all-ones so it
+/// computes `R[0][i] = (R[0][i+1] << 1) | PM` regardless of the stale
+/// row. Dispatches to the explicit AVX2 implementation when the
+/// `lockstep-avx2` feature is enabled and the CPU supports it.
+fn stream_pass(
+    codes: &[u8],
+    table: &[LaneWords; 256],
+    rows: &mut [LaneWords],
+    fresh: &LaneWords,
+    dm1: &LaneWords,
+    init: &[LaneWords; STREAM_LEVELS],
+) -> [LaneWords; STREAM_LEVELS] {
+    #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just detected at runtime.
+            unsafe {
+                return stream_pass_avx2(codes, table, rows, fresh, dm1, init);
+            }
+        }
+    }
+    let mut acc = [[u64::MAX; STREAM_LANES]; STREAM_LEVELS];
+    // `r[j]` holds level j's R at the position after the current one.
+    let mut r = *init;
+    // The first level's deletion input: the stored row, one position on.
+    let mut carry = *dm1;
+    for (&code, row) in codes.iter().zip(rows.iter_mut()).rev() {
+        let pm = &table[usize::from(code)];
+        let mut below = *row; // R[level - 1][i]
+        let mut del = carry; // R[level - 1][i + 1]
+        carry = below;
+        for (level, (r, acc)) in r.iter_mut().zip(acc.iter_mut()).enumerate() {
+            for lane in 0..STREAM_LANES {
+                let mut gap = del[lane] & (del[lane] << 1) & (below[lane] << 1);
+                if level == 0 {
+                    gap |= fresh[lane];
+                }
+                let value = gap & ((r[lane] << 1) | pm[lane]);
+                del[lane] = r[lane];
+                r[lane] = value;
+                below[lane] = value;
+                acc[lane] &= value;
+            }
+        }
+        *row = below;
+    }
+    acc
+}
+
+/// Explicit AVX2 stream pass: one 256-bit vector per level holds all
+/// four lanes; bit-identical rows and accumulators to the portable
+/// loop.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn stream_pass_avx2(
+    codes: &[u8],
+    table: &[LaneWords; 256],
+    rows: &mut [LaneWords],
+    fresh: &LaneWords,
+    dm1: &LaneWords,
+    init: &[LaneWords; STREAM_LEVELS],
+) -> [LaneWords; STREAM_LEVELS] {
+    use std::arch::x86_64::{
+        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
+        _mm256_slli_epi64, _mm256_storeu_si256,
+    };
+    let load = |words: &LaneWords| -> __m256i { _mm256_loadu_si256(words.as_ptr().cast()) };
+    let fresh = load(fresh);
+    let mut carry = load(dm1);
+    let mut r: [__m256i; STREAM_LEVELS] = std::array::from_fn(|level| load(&init[level]));
+    let mut acc = [_mm256_set1_epi64x(-1); STREAM_LEVELS];
+    for (&code, row) in codes.iter().zip(rows.iter_mut()).rev() {
+        let pm = load(&table[usize::from(code)]);
+        let mut below = load(row);
+        let mut del = carry;
+        carry = below;
+        for level in 0..STREAM_LEVELS {
+            let mut gap = _mm256_and_si256(
+                _mm256_and_si256(del, _mm256_slli_epi64::<1>(del)),
+                _mm256_slli_epi64::<1>(below),
+            );
+            if level == 0 {
+                gap = _mm256_or_si256(gap, fresh);
+            }
+            let value =
+                _mm256_and_si256(gap, _mm256_or_si256(_mm256_slli_epi64::<1>(r[level]), pm));
+            del = r[level];
+            r[level] = value;
+            below = value;
+            acc[level] = _mm256_and_si256(acc[level], value);
+        }
+        _mm256_storeu_si256(row.as_mut_ptr().cast(), below);
+    }
+    let mut out = [[0u64; STREAM_LANES]; STREAM_LEVELS];
+    for (out, acc) in out.iter_mut().zip(acc) {
+        _mm256_storeu_si256(out.as_mut_ptr().cast(), acc);
+    }
+    out
+}
+
 /// One lock-step distance row in full (edge-storing) mode. Kept free of
 /// bounds checks and branches in the lane dimension so LLVM unrolls and
-/// vectorizes the `L`-wide inner loop.
-///
-/// The boundary inits are **per-lane** arrays: the chunked kernel
-/// broadcasts one depth to every lane, while the occurrence stream
-/// ([`DcLaneStream`]) advances each lane at its own depth `d_lane` and
-/// passes `boundary_state(d_lane)` / `boundary_state(d_lane - 1)` per
-/// lane.
+/// vectorizes the `L`-wide inner loop. The boundary inits are per-lane
+/// arrays holding one broadcast depth.
 #[allow(clippy::too_many_arguments)]
 fn dc_row_multi<const L: usize, const STORE: bool>(
     pm: &[[u64; L]],
@@ -881,12 +923,6 @@ fn dc_row_multi<const L: usize, const STORE: bool>(
 fn dc_row_zero<const L: usize>(pm: &[[u64; L]], prev: &mut [[u64; L]]) {
     #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
     {
-        if L.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just detected at runtime.
-            unsafe {
-                return dc_row_zero_avx512::<L>(pm, prev);
-            }
-        }
         if L.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just detected at runtime.
             unsafe {
@@ -942,14 +978,6 @@ fn dc_row_full<const L: usize>(
 ) {
     #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
     {
-        if L.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just detected at runtime.
-            unsafe {
-                return dc_row_full_avx512::<L>(
-                    pm, prev, cur, match_row, ins_row, del_row, init_d, init_dm1,
-                );
-            }
-        }
         if L.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just detected at runtime.
             unsafe {
@@ -1029,12 +1057,6 @@ fn dc_row_distance<const L: usize>(
 ) {
     #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
     {
-        if L.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just detected at runtime.
-            unsafe {
-                return dc_row_distance_avx512::<L>(pm, prev, cur, init_d, init_dm1);
-            }
-        }
         if L.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just detected at runtime.
             unsafe {
@@ -1098,278 +1120,6 @@ unsafe fn dc_row_distance_avx2<const L: usize>(
             _mm256_storeu_si256(cur[i].as_mut_ptr().add(g * 4).cast::<__m256i>(), r);
             r_next = r;
         }
-    }
-}
-
-/// Explicit AVX-512F `d = 0` pass: eight `u64` lanes per 512-bit
-/// vector, so `L = 16` is two vectors per step. Bit-identical to the
-/// portable loop.
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn dc_row_zero_avx512<const L: usize>(pm: &[[u64; L]], prev: &mut [[u64; L]]) {
-    use std::arch::x86_64::{
-        __m512i, _mm512_loadu_si512, _mm512_or_si512, _mm512_set1_epi64, _mm512_slli_epi64,
-        _mm512_storeu_si512,
-    };
-    let n = pm.len();
-    let groups = L / 8;
-    for g in 0..groups {
-        let mut r: __m512i = _mm512_set1_epi64(-1);
-        for i in (0..n).rev() {
-            let masks = _mm512_loadu_si512(pm[i].as_ptr().add(g * 8).cast::<__m512i>());
-            r = _mm512_or_si512(_mm512_slli_epi64::<1>(r), masks);
-            _mm512_storeu_si512(prev[i].as_mut_ptr().add(g * 8).cast::<__m512i>(), r);
-        }
-    }
-}
-
-/// Explicit AVX-512F lock-step full-mode row: bit-identical to the
-/// portable loop (same operations, same order), with the three edge
-/// bitvector kinds stored per step.
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn dc_row_full_avx512<const L: usize>(
-    pm: &[[u64; L]],
-    prev: &[[u64; L]],
-    cur: &mut [[u64; L]],
-    match_row: &mut [[u64; L]],
-    ins_row: &mut [[u64; L]],
-    del_row: &mut [[u64; L]],
-    init_d: &[u64; L],
-    init_dm1: &[u64; L],
-) {
-    use std::arch::x86_64::{
-        __m512i, _mm512_and_si512, _mm512_loadu_si512, _mm512_or_si512, _mm512_slli_epi64,
-        _mm512_storeu_si512,
-    };
-    let n = pm.len();
-    let groups = L / 8;
-    for g in 0..groups {
-        let boundary_d = _mm512_loadu_si512(init_d.as_ptr().add(g * 8).cast::<__m512i>());
-        let boundary_dm1 = _mm512_loadu_si512(init_dm1.as_ptr().add(g * 8).cast::<__m512i>());
-        let mut r_next = boundary_d;
-        for i in (0..n).rev() {
-            let load = |row: &[u64; L]| -> __m512i {
-                _mm512_loadu_si512(row.as_ptr().add(g * 8).cast::<__m512i>())
-            };
-            let store = |row: &mut [u64; L], v: __m512i| {
-                _mm512_storeu_si512(row.as_mut_ptr().add(g * 8).cast::<__m512i>(), v);
-            };
-            let deletion = if i + 1 < n {
-                load(&prev[i + 1])
-            } else {
-                boundary_dm1
-            };
-            let substitution = _mm512_slli_epi64::<1>(deletion);
-            let insertion = _mm512_slli_epi64::<1>(load(&prev[i]));
-            let matched = _mm512_or_si512(_mm512_slli_epi64::<1>(r_next), load(&pm[i]));
-            let r = _mm512_and_si512(
-                _mm512_and_si512(deletion, substitution),
-                _mm512_and_si512(insertion, matched),
-            );
-            store(&mut match_row[i], matched);
-            store(&mut ins_row[i], insertion);
-            store(&mut del_row[i], deletion);
-            store(&mut cur[i], r);
-            r_next = r;
-        }
-    }
-}
-
-/// Explicit AVX-512F lock-step distance row: bit-identical to the
-/// portable loop (same operations, same order).
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn dc_row_distance_avx512<const L: usize>(
-    pm: &[[u64; L]],
-    prev: &[[u64; L]],
-    cur: &mut [[u64; L]],
-    init_d: &[u64; L],
-    init_dm1: &[u64; L],
-) {
-    use std::arch::x86_64::{
-        __m512i, _mm512_and_si512, _mm512_loadu_si512, _mm512_or_si512, _mm512_slli_epi64,
-        _mm512_storeu_si512,
-    };
-    let n = pm.len();
-    let groups = L / 8;
-    for g in 0..groups {
-        let boundary_d = _mm512_loadu_si512(init_d.as_ptr().add(g * 8).cast::<__m512i>());
-        let boundary_dm1 = _mm512_loadu_si512(init_dm1.as_ptr().add(g * 8).cast::<__m512i>());
-        let mut r_next = boundary_d;
-        for i in (0..n).rev() {
-            let load = |row: &[u64; L]| -> __m512i {
-                _mm512_loadu_si512(row.as_ptr().add(g * 8).cast::<__m512i>())
-            };
-            let deletion = if i + 1 < n {
-                load(&prev[i + 1])
-            } else {
-                boundary_dm1
-            };
-            let substitution = _mm512_slli_epi64::<1>(deletion);
-            let insertion = _mm512_slli_epi64::<1>(load(&prev[i]));
-            let matched = _mm512_or_si512(_mm512_slli_epi64::<1>(r_next), load(&pm[i]));
-            let r = _mm512_and_si512(
-                _mm512_and_si512(deletion, substitution),
-                _mm512_and_si512(insertion, matched),
-            );
-            _mm512_storeu_si512(cur[i].as_mut_ptr().add(g * 8).cast::<__m512i>(), r);
-            r_next = r;
-        }
-    }
-}
-
-/// One lock-step distance row with a **fused any-position hit test**:
-/// the identical recurrence (and identical `cur` rows) as
-/// [`dc_row_distance`], additionally emitting `acc[lane]` = the AND of
-/// the lane's new `R` word over **every** text position. The unanchored
-/// occurrence probe ("is the MSB clear at any position?") then reads
-/// one word per lane instead of re-scanning the lane's whole column
-/// scalar-per-step — the accumulator rides along inside the vector loop
-/// at one extra AND per position.
-///
-/// Padding positions of an active lane provably idle at the lane's
-/// boundary state `ones << d` (all-ones masks only shift bits upward),
-/// so for `d < m` the full-width accumulator's MSB agrees exactly with
-/// the exact-width scan; [`DcLaneStream::step`] falls back to the exact
-/// scan for the (terminal) `d >= m` rows, where the boundary state's
-/// MSB is no longer set.
-fn dc_row_distance_acc<const L: usize>(
-    pm: &[[u64; L]],
-    prev: &[[u64; L]],
-    cur: &mut [[u64; L]],
-    init_d: &[u64; L],
-    init_dm1: &[u64; L],
-    acc: &mut [u64; L],
-) {
-    #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-    {
-        if L.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just detected at runtime.
-            unsafe {
-                return dc_row_distance_acc_avx512::<L>(pm, prev, cur, init_d, init_dm1, acc);
-            }
-        }
-        if L.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just detected at runtime.
-            unsafe {
-                return dc_row_distance_acc_avx2::<L>(pm, prev, cur, init_d, init_dm1, acc);
-            }
-        }
-    }
-    let n = pm.len();
-    let mut r_next = *init_d;
-    let mut and_acc = [u64::MAX; L];
-    for i in (0..n).rev() {
-        let prev_ip1 = if i + 1 < n { prev[i + 1] } else { *init_dm1 };
-        let prev_i = prev[i];
-        let pm_i = pm[i];
-        for lane in 0..L {
-            let deletion = prev_ip1[lane];
-            let substitution = deletion << 1;
-            let insertion = prev_i[lane] << 1;
-            let matched = (r_next[lane] << 1) | pm_i[lane];
-            let r = deletion & substitution & insertion & matched;
-            r_next[lane] = r;
-            and_acc[lane] &= r;
-        }
-        cur[i] = r_next;
-    }
-    *acc = and_acc;
-}
-
-/// Explicit AVX2 fused-accumulator distance row; bit-identical rows and
-/// accumulators to the portable loop.
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn dc_row_distance_acc_avx2<const L: usize>(
-    pm: &[[u64; L]],
-    prev: &[[u64; L]],
-    cur: &mut [[u64; L]],
-    init_d: &[u64; L],
-    init_dm1: &[u64; L],
-    acc: &mut [u64; L],
-) {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_slli_epi64, _mm256_storeu_si256,
-    };
-    let n = pm.len();
-    let groups = L / 4;
-    for g in 0..groups {
-        let boundary_d = _mm256_loadu_si256(init_d.as_ptr().add(g * 4).cast::<__m256i>());
-        let boundary_dm1 = _mm256_loadu_si256(init_dm1.as_ptr().add(g * 4).cast::<__m256i>());
-        let mut r_next = boundary_d;
-        let mut and_acc: __m256i = _mm256_set1_epi64x(-1);
-        for i in (0..n).rev() {
-            let load = |row: &[u64; L]| -> __m256i {
-                _mm256_loadu_si256(row.as_ptr().add(g * 4).cast::<__m256i>())
-            };
-            let deletion = if i + 1 < n {
-                load(&prev[i + 1])
-            } else {
-                boundary_dm1
-            };
-            let substitution = _mm256_slli_epi64::<1>(deletion);
-            let insertion = _mm256_slli_epi64::<1>(load(&prev[i]));
-            let matched = _mm256_or_si256(_mm256_slli_epi64::<1>(r_next), load(&pm[i]));
-            let r = _mm256_and_si256(
-                _mm256_and_si256(deletion, substitution),
-                _mm256_and_si256(insertion, matched),
-            );
-            _mm256_storeu_si256(cur[i].as_mut_ptr().add(g * 4).cast::<__m256i>(), r);
-            and_acc = _mm256_and_si256(and_acc, r);
-            r_next = r;
-        }
-        _mm256_storeu_si256(acc.as_mut_ptr().add(g * 4).cast::<__m256i>(), and_acc);
-    }
-}
-
-/// Explicit AVX-512F fused-accumulator distance row; bit-identical rows
-/// and accumulators to the portable loop.
-#[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn dc_row_distance_acc_avx512<const L: usize>(
-    pm: &[[u64; L]],
-    prev: &[[u64; L]],
-    cur: &mut [[u64; L]],
-    init_d: &[u64; L],
-    init_dm1: &[u64; L],
-    acc: &mut [u64; L],
-) {
-    use std::arch::x86_64::{
-        __m512i, _mm512_and_si512, _mm512_loadu_si512, _mm512_or_si512, _mm512_set1_epi64,
-        _mm512_slli_epi64, _mm512_storeu_si512,
-    };
-    let n = pm.len();
-    let groups = L / 8;
-    for g in 0..groups {
-        let boundary_d = _mm512_loadu_si512(init_d.as_ptr().add(g * 8).cast::<__m512i>());
-        let boundary_dm1 = _mm512_loadu_si512(init_dm1.as_ptr().add(g * 8).cast::<__m512i>());
-        let mut r_next = boundary_d;
-        let mut and_acc: __m512i = _mm512_set1_epi64(-1);
-        for i in (0..n).rev() {
-            let load = |row: &[u64; L]| -> __m512i {
-                _mm512_loadu_si512(row.as_ptr().add(g * 8).cast::<__m512i>())
-            };
-            let deletion = if i + 1 < n {
-                load(&prev[i + 1])
-            } else {
-                boundary_dm1
-            };
-            let substitution = _mm512_slli_epi64::<1>(deletion);
-            let insertion = _mm512_slli_epi64::<1>(load(&prev[i]));
-            let matched = _mm512_or_si512(_mm512_slli_epi64::<1>(r_next), load(&pm[i]));
-            let r = _mm512_and_si512(
-                _mm512_and_si512(deletion, substitution),
-                _mm512_and_si512(insertion, matched),
-            );
-            _mm512_storeu_si512(cur[i].as_mut_ptr().add(g * 8).cast::<__m512i>(), r);
-            and_acc = _mm512_and_si512(and_acc, r);
-            r_next = r;
-        }
-        _mm512_storeu_si512(acc.as_mut_ptr().add(g * 8).cast::<__m512i>(), and_acc);
     }
 }
 
@@ -1494,7 +1244,7 @@ mod tests {
 
     #[test]
     fn ragged_lane_counts_and_budgets() {
-        let mut arena = MultiDcArena::<8>::new();
+        let mut arena = MultiDcArena::<4>::new();
         let text = dna(50, 5);
         let mut far = dna(50, 9);
         far.truncate(40);
@@ -1511,7 +1261,7 @@ mod tests {
                 k_max: 48,
             },
         ];
-        window_dc_multi_into::<Dna, 8>(&lanes, &mut arena);
+        window_dc_multi_into::<Dna, 4>(&lanes, &mut arena);
         let scalar0 = window_dc::<Dna>(&text, &far, 2).unwrap();
         assert_eq!(arena.outcomes()[0], Ok(scalar0.edit_distance));
         assert_eq!(arena.outcomes()[1], Ok(Some(0)));
@@ -1632,210 +1382,162 @@ mod tests {
             }
         }
     }
+    /// One scan of a shared-text drain: pattern and budget.
+    type Scan = (Vec<u8>, usize);
 
-    /// Windows of ragged sizes, divergent distances, exhausted budgets,
-    /// instant resolutions and invalid inputs, from a deterministic
-    /// generator.
-    fn ragged_windows(count: usize, seed: u64) -> Vec<(Vec<u8>, Vec<u8>, usize)> {
+    /// Drains `scans` over `text` through `stream`, refilling each lane
+    /// the moment it resolves, and checks every outcome — refill
+    /// errors included — against the scalar
+    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into).
+    /// Also checks the row counters against their analytic values:
+    /// every step issues `STREAM_LANES × STREAM_LEVELS` lane-levels,
+    /// and a scan needs one level per depth up to its outcome (row 0
+    /// included).
+    fn drain_shared_text(stream: &mut DcLaneStream, text: &[u8], scans: &[Scan]) {
+        let mut scalar_arena = DcArena::new();
+        let scalar: Vec<_> = scans
+            .iter()
+            .map(|(p, k)| {
+                crate::dc::occurrence_distance_into::<Dna>(text, p, *k, &mut scalar_arena)
+            })
+            .collect();
+        let before = stream.take_row_counters();
+        stream.load_text::<Dna>(text);
+        let mut next = 0usize;
+        let mut loaded = [None; STREAM_LANES];
+        let mut steps = 0u64;
+        let mut resolved = Vec::new();
+        let mut feed = |stream: &mut DcLaneStream, lane: usize, loaded: &mut [Option<usize>]| {
+            while next < scans.len() {
+                let (p, k) = &scans[next];
+                next += 1;
+                match stream.refill_lane::<Dna>(lane, p, *k) {
+                    Ok(()) => {
+                        loaded[lane] = Some(next - 1);
+                        return;
+                    }
+                    Err(e) => assert_eq!(scalar[next - 1], Err(e), "scan {}", next - 1),
+                }
+            }
+        };
+        for lane in 0..STREAM_LANES {
+            feed(stream, lane, &mut loaded);
+        }
+        while stream.active_lanes() > 0 {
+            resolved.clear();
+            stream.step(&mut resolved);
+            steps += 1;
+            for &lane in &resolved {
+                let scan = loaded[lane].take().expect("resolved lane is loaded");
+                assert_eq!(scalar[scan], Ok(stream.outcome(lane)), "scan {scan}");
+                stream.release_lane(lane);
+                feed(stream, lane, &mut loaded);
+            }
+        }
+        let useful: u64 = scans
+            .iter()
+            .zip(&scalar)
+            .map(|((_, k), outcome)| match outcome {
+                Ok(Some(d)) => *d as u64 + 1,
+                Ok(None) => *k as u64 + 1,
+                Err(_) => 0,
+            })
+            .sum();
+        assert_eq!(before, (0, 0));
+        assert_eq!(
+            stream.take_row_counters(),
+            (steps * (STREAM_LANES * STREAM_LEVELS) as u64, useful)
+        );
+    }
+
+    /// `count` scans over `text`: substrings with a few substitutions,
+    /// of every length class up to [`MAX_WINDOW`], with zero, tight and
+    /// generous budgets.
+    fn scans_over(text: &[u8], count: usize, seed: u64) -> Vec<Scan> {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state
+            state as usize
         };
         (0..count)
             .map(|_| {
-                let n = 4 + (next() as usize % 60);
-                let text = dna(n, next());
-                let m = 1 + (next() as usize % n.min(MAX_WINDOW));
-                let mut pattern = text[..m].to_vec();
-                for _ in 0..(next() % 5) {
-                    let idx = next() as usize % pattern.len();
-                    pattern[idx] = b"ACGT"[(next() % 4) as usize];
+                let m = 1 + next() % MAX_WINDOW.min(text.len());
+                let start = next() % (text.len() - m + 1);
+                let mut pattern = text[start..start + m].to_vec();
+                for _ in 0..next() % 6 {
+                    let idx = next() % m;
+                    pattern[idx] = b"ACGT"[next() % 4];
                 }
-                let k_max = match next() % 4 {
-                    0 => 0,                     // zero budget: instant resolution
-                    1 => (next() as usize) % 3, // tight budget: often exhausted
-                    _ => pattern.len(),         // always resolves
+                let k = match next() % 4 {
+                    0 => 0,
+                    1 => next() % 4,
+                    _ => m,
                 };
-                match next() % 16 {
-                    0 => (Vec::new(), pattern, k_max), // EmptyText
-                    1 => (text, Vec::new(), k_max),    // EmptyPattern
-                    2 => {
-                        let mut bad = text.clone();
-                        let pos = next() as usize % bad.len();
-                        bad[pos] = b'N'; // InvalidSymbol
-                        (bad, pattern, k_max)
-                    }
-                    _ => (text, pattern, k_max),
-                }
+                (pattern, k)
             })
             .collect()
     }
 
     #[test]
-    fn sixteen_lane_arena_matches_scalar_bit_for_bit() {
-        // L = 16 dispatches to the AVX-512 row kernels where the host
-        // supports them (two 512-bit vectors per step) and to the
-        // portable loop otherwise; both must be bit-identical to the
-        // scalar kernel.
-        let mut arena = MultiDcArena::<16>::new();
-        let mut fast = MultiDcArena::<16>::new();
-        for seed in 1..6u64 {
-            let texts: Vec<Vec<u8>> = (0..16)
-                .map(|l| dna(18 + (seed as usize * 5 + l * 3) % 46, seed * 11 + l as u64))
-                .collect();
-            let lanes: Vec<MultiLane> = texts
-                .iter()
-                .enumerate()
-                .map(|(l, t)| MultiLane {
-                    text: t,
-                    pattern: &t[..t.len().min(8 + l * 3)],
-                    k_max: 8 + l,
-                })
-                .collect();
-            window_dc_multi_into::<Dna, 16>(&lanes, &mut arena);
-            window_dc_multi_distance_into::<Dna, 16>(&lanes, &mut fast);
-            assert_eq!(arena.outcomes(), fast.outcomes(), "seed={seed}");
-            for (l, lane) in lanes.iter().enumerate() {
-                let scalar = window_dc::<Dna>(lane.text, lane.pattern, lane.k_max).unwrap();
-                assert_lane_matches_scalar(&arena, l, scalar.edit_distance, &scalar.bitvectors);
-            }
+    fn occurrence_stream_matches_scalar_across_text_loads() {
+        // One stream across texts of different lengths, longer and
+        // shorter than the last, so every load reuses stale buffers.
+        let mut stream = DcLaneStream::new();
+        for seed in 1..12u64 {
+            let text = dna(1 + (seed as usize * 37) % 300, seed * 0xA5A5);
+            let scans = scans_over(&text, 1 + (seed as usize * 5) % 23, seed);
+            drain_shared_text(&mut stream, &text, &scans);
         }
     }
 
-    /// Drains `windows` through an unanchored occurrence stream,
-    /// refilling each lane the moment it resolves, checking every
-    /// outcome against the scalar
-    /// [`occurrence_distance_into`](crate::dc::occurrence_distance_into);
-    /// returns the stream's scan-op total for the drain.
-    // The drain loop indexes `resolved` while the feed macro mutates
-    // lane state; range loops are the clearest shape for that.
-    #[allow(clippy::needless_range_loop)]
-    fn drain_occurrence_stream<const L: usize>(
-        stream: &mut DcLaneStream<L>,
-        windows: &[(Vec<u8>, Vec<u8>, usize)],
-    ) -> u64 {
-        let mut next = 0usize;
-        let mut loaded: [Option<usize>; L] = [None; L];
-        let mut resolved = Vec::new();
-        let check = |stream: &DcLaneStream<L>, lane: usize, window: usize| {
-            let (text, pattern, k_max) = &windows[window];
-            let mut arena = DcArena::new();
-            let scalar =
-                crate::dc::occurrence_distance_into::<Dna>(text, pattern, *k_max, &mut arena)
-                    .unwrap();
-            assert_eq!(stream.outcome(lane), scalar, "window {window}");
-        };
-        macro_rules! feed {
-            ($lane:expr) => {
-                loop {
-                    if next >= windows.len() {
-                        stream.release_lane($lane);
-                        loaded[$lane] = None;
-                        break;
-                    }
-                    let window = next;
-                    next += 1;
-                    let (text, pattern, k_max) = &windows[window];
-                    match stream.refill_lane::<Dna>($lane, text, pattern, *k_max) {
-                        Ok(LaneLoad::Pending) => {
-                            loaded[$lane] = Some(window);
-                            break;
-                        }
-                        Ok(LaneLoad::Resolved) => check(&stream, $lane, window),
-                        Err(e) => {
-                            let mut arena = DcArena::new();
-                            let scalar = crate::dc::occurrence_distance_into::<Dna>(
-                                text, pattern, *k_max, &mut arena,
-                            );
-                            assert_eq!(scalar.unwrap_err(), e, "window {window} error");
-                        }
-                    }
-                }
-            };
-        }
-        for lane in 0..L {
-            feed!(lane);
-        }
-        while stream.active_lanes() > 0 {
-            resolved.clear();
-            stream.step(&mut resolved);
-            for i in 0..resolved.len() {
-                let lane = resolved[i];
-                check(stream, lane, loaded[lane].expect("resolved lane is loaded"));
-                feed!(lane);
+    #[test]
+    fn budgets_landing_on_every_level_of_a_pass_resolve_like_scalar() {
+        // Distances 0..=5 against budgets 0..=6 put the resolving depth
+        // and the exhausted budget on either level of a two-level pass.
+        let text = dna(160, 41);
+        let mut stream = DcLaneStream::new();
+        for edits in 0..=5usize {
+            let mut pattern = text[50..110].to_vec();
+            for e in 0..edits {
+                let idx = 3 + e * 11;
+                pattern[idx] = if pattern[idx] == b'A' { b'C' } else { b'A' };
             }
+            let scans: Vec<Scan> = (0..=6).map(|k| (pattern.clone(), k)).collect();
+            drain_shared_text(&mut stream, &text, &scans);
         }
-        assert_eq!(next, windows.len(), "every window must be drained");
-        stream.take_scan_ops()
     }
 
-    /// Scalar column-scan operations an unanchored stream must perform
-    /// on `windows`: the fused hit test answers every probe below depth
-    /// `m`, and a lane probed at `d = m` (where every position hits, so
-    /// it resolves) scans its `n` positions once.
-    fn fallback_scan_ops(windows: &[(Vec<u8>, Vec<u8>, usize)]) -> u64 {
-        let mut arena = DcArena::new();
-        windows
+    #[test]
+    fn symbol_disjoint_texts_resolve_at_depth_m() {
+        // A pattern sharing no symbol with the text occurs nowhere
+        // below d = m, where deleting every pattern character matches.
+        let mut stream = DcLaneStream::new();
+        let text = b"CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC".to_vec();
+        let scans: Vec<Scan> = [1usize, 2, 3, 7, 63, 64]
             .iter()
-            .filter(|(text, pattern, k_max)| {
-                let scalar =
-                    crate::dc::occurrence_distance_into::<Dna>(text, pattern, *k_max, &mut arena);
-                matches!(scalar, Ok(Some(d)) if d > 0 && d == pattern.len())
-            })
-            .map(|(text, _, _)| text.len() as u64)
-            .sum()
+            .map(|&m| (vec![b'A'; m], m))
+            .collect();
+        drain_shared_text(&mut stream, &text, &scans);
+        drain_shared_text(&mut stream, b"G", &scans);
     }
 
     #[test]
-    fn fused_occurrence_stream_matches_scalar_and_scans_only_at_depth_m() {
-        let mut stream4 = DcLaneStream::<4>::occurrence_scan();
-        let mut stream16 = DcLaneStream::<16>::occurrence_scan();
-        for seed in 1..8u64 {
-            let windows = ragged_windows(31, seed * 0xA5A5);
-            let want = fallback_scan_ops(&windows);
-            let scans4 = drain_occurrence_stream(&mut stream4, &windows);
-            let scans16 = drain_occurrence_stream(&mut stream16, &windows);
-            assert_eq!(scans4, want, "seed={seed}");
-            assert_eq!(scans16, want, "seed={seed}");
-        }
-    }
-
-    #[test]
-    fn fused_occurrence_fallback_at_deep_depths_stays_exact() {
-        // An m = 2 pattern nowhere near the text resolves at d = m,
-        // where the padding boundary state's MSB has gone clear and the
-        // fused probe must fall back to the exact column scan.
-        let mut stream = DcLaneStream::<4>::occurrence_scan();
-        let mut arena = DcArena::new();
-        let text = b"CCCCCCCCCCCC".to_vec();
-        let pattern = b"AA".to_vec();
-        let scalar =
-            crate::dc::occurrence_distance_into::<Dna>(&text, &pattern, 4, &mut arena).unwrap();
-        assert_eq!(scalar, Some(2));
-        if stream.refill_lane::<Dna>(0, &text, &pattern, 4).unwrap() == LaneLoad::Pending {
-            let mut resolved = Vec::new();
-            while stream.active_lanes() > 0 {
-                stream.step(&mut resolved);
-            }
-        }
-        assert_eq!(stream.outcome(0), scalar);
-        assert!(
-            stream.scan_ops() > 0,
-            "the d >= m exactness fallback performs a scalar scan"
-        );
-    }
-
-    #[test]
-    fn occurrence_stream_handles_short_queues_and_empty_tail() {
-        // Fewer scans than lanes: most lanes idle from the start, and
-        // the tail drains with a single active lane.
-        let mut stream = DcLaneStream::<8>::occurrence_scan();
-        for count in [1usize, 2, 3, 7] {
-            let windows = ragged_windows(count, count as u64 * 131);
-            drain_occurrence_stream(&mut stream, &windows);
+    fn refill_errors_follow_scalar_precedence() {
+        let mut stream = DcLaneStream::new();
+        let long = vec![b'A'; MAX_WINDOW + 1];
+        let scans: Vec<Scan> = vec![
+            (b"ACGT".to_vec(), 4),
+            (Vec::new(), 4),
+            (long.clone(), 4),
+            (b"ACNT".to_vec(), 4),
+            (b"GG".to_vec(), 1),
+        ];
+        // Empty text, a text with an invalid byte, and a clean text:
+        // each pattern error is weighed against each text error.
+        for text in [&b""[..], b"ACGTACNGTT", b"ACGTACGGTT"] {
+            drain_shared_text(&mut stream, text, &scans);
         }
     }
 

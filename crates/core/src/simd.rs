@@ -1,15 +1,12 @@
 //! Runtime SIMD tier detection for the lock-step kernels.
 //!
 //! The lock-step row kernels ([`dc_multi`](crate::dc_multi)) dispatch
-//! per call between a portable auto-vectorized loop, an explicit AVX2
-//! path (four `u64` lanes per 256-bit vector), and an explicit AVX-512F
-//! path (eight `u64` lanes per 512-bit vector). This module names the
-//! widest tier that dispatch can pick on the running host so callers —
-//! the CLI's `map.simd_level` gauge and the bench artifacts'
-//! `simd_level` field — report the same figure, making bench
-//! trajectories comparable across hosts. A container takes the AVX-512F
-//! path only when its lane count is a multiple of eight, so the
-//! engine's 4-lane passes run at most AVX2.
+//! per call between a portable auto-vectorized loop and an explicit
+//! AVX2 path (four `u64` lanes per 256-bit vector). This module names
+//! the tier that dispatch picks on the running host so callers — the
+//! CLI's `map.simd_level` gauge and the bench artifacts' `simd_level`
+//! field — report the same figure, making bench trajectories
+//! comparable across hosts.
 //!
 //! The explicit paths are compiled behind the `lockstep-avx2` feature
 //! (default on); a `--no-default-features` build reports
@@ -18,8 +15,7 @@
 
 /// The SIMD tier the lock-step row kernels dispatch to on this host.
 ///
-/// Ordered: a higher tier implies every capability of the lower ones
-/// (AVX-512F machines always have AVX2).
+/// Ordered: a higher tier implies every capability of the lower ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// No explicit SIMD path: the portable lane loop (auto-vectorized
@@ -27,8 +23,6 @@ pub enum SimdLevel {
     Portable,
     /// Explicit AVX2: 4 lanes per vector op.
     Avx2,
-    /// Explicit AVX-512F: 8 lanes per vector op.
-    Avx512,
 }
 
 impl SimdLevel {
@@ -37,16 +31,14 @@ impl SimdLevel {
         match self {
             SimdLevel::Portable => "portable",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         }
     }
 
-    /// Numeric rank for gauges (0 = portable, 1 = avx2, 2 = avx512).
+    /// Numeric rank for gauges (0 = portable, 1 = avx2).
     pub fn rank(self) -> u64 {
         match self {
             SimdLevel::Portable => 0,
             SimdLevel::Avx2 => 1,
-            SimdLevel::Avx512 => 2,
         }
     }
 }
@@ -57,15 +49,12 @@ impl std::fmt::Display for SimdLevel {
     }
 }
 
-/// The widest tier the lock-step row kernels can dispatch to on this
-/// host: the highest explicit path that is both compiled in
-/// (`lockstep-avx2` feature) and supported by the running CPU.
+/// The tier the lock-step row kernels dispatch to on this host: the
+/// explicit path when it is both compiled in (`lockstep-avx2` feature)
+/// and supported by the running CPU.
 pub fn simd_level() -> SimdLevel {
     #[cfg(all(feature = "lockstep-avx2", target_arch = "x86_64"))]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return SimdLevel::Avx512;
-        }
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
         }
@@ -80,11 +69,10 @@ mod tests {
     #[test]
     fn tiers_are_ordered_and_named() {
         assert!(SimdLevel::Portable < SimdLevel::Avx2);
-        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
         assert_eq!(SimdLevel::Portable.rank(), 0);
-        assert_eq!(SimdLevel::Avx512.rank(), 2);
+        assert_eq!(SimdLevel::Avx2.rank(), 1);
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
-        assert_eq!(format!("{}", SimdLevel::Avx512), "avx512");
+        assert_eq!(format!("{}", SimdLevel::Portable), "portable");
     }
 
     #[test]

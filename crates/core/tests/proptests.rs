@@ -10,8 +10,7 @@ use genasm_core::bitap;
 use genasm_core::cigar::Cigar;
 use genasm_core::dc::window_dc;
 use genasm_core::dc_multi::{
-    window_dc_multi_distance_into, window_dc_multi_into, DcLaneStream, LaneLoad, MultiDcArena,
-    MultiLane,
+    window_dc_multi_distance_into, window_dc_multi_into, DcLaneStream, MultiDcArena, MultiLane,
 };
 use genasm_core::edit_distance::EditDistanceCalculator;
 use genasm_core::filter::PreAlignmentFilter;
@@ -319,161 +318,152 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wider lanes and fused occurrence hit-tests: the 16-lane row kernels
-// and the per-lane AND-accumulator hit test, against the scalar ground
+// The shared-text occurrence stream: lanes scanning their own pattern
+// blocks over one text, two levels per pass, against the scalar ground
 // truth. These tests carry no feature gates, so the same properties
-// also run under `--no-default-features`, where every width falls back
-// to the portable row kernels.
+// also run under `--no-default-features`, where the stream runs its
+// portable pass.
 // ---------------------------------------------------------------------
 
-use genasm_core::dc::{occurrence_distance_into, DcArena};
+use genasm_core::dc::{occurrence_distance_into, DcArena, MAX_WINDOW};
+use genasm_core::dc_multi::{STREAM_LANES, STREAM_LEVELS};
 use genasm_core::error::AlignError;
 
 /// One occurrence outcome, as the scalar kernel reports it.
 type Occurrence = Result<Option<usize>, AlignError>;
 
-/// Streams `windows` through an occurrence-mode lane stream in
-/// submission order and returns the per-window outcomes plus the
-/// stream's scan-op total.
-fn run_occurrence_stream<const L: usize>(
-    stream: &mut DcLaneStream<L>,
-    windows: &[(Vec<u8>, Vec<u8>, usize)],
+/// Streams `scans` (pattern, budget) over `text` in submission order,
+/// refilling each lane the moment it resolves, and returns the
+/// per-scan outcomes plus the number of steps taken.
+fn run_occurrence_stream(
+    stream: &mut DcLaneStream,
+    text: &[u8],
+    scans: &[(Vec<u8>, usize)],
 ) -> (Vec<Occurrence>, u64) {
-    let mut outcomes: Vec<Option<Occurrence>> = vec![None; windows.len()];
+    let mut outcomes: Vec<Option<Occurrence>> = vec![None; scans.len()];
     let mut next = 0usize;
-    let mut loaded = [usize::MAX; L];
-    // Feeds `lane` until it holds a pending window or the queue dries.
-    fn feed<const L: usize>(
-        stream: &mut DcLaneStream<L>,
-        lane: usize,
-        windows: &[(Vec<u8>, Vec<u8>, usize)],
-        outcomes: &mut [Option<Occurrence>],
-        next: &mut usize,
-        loaded: &mut [usize; L],
-    ) {
-        loop {
-            if *next >= windows.len() {
-                stream.release_lane(lane);
-                loaded[lane] = usize::MAX;
-                return;
-            }
-            let idx = *next;
-            *next += 1;
-            let (t, p, k) = &windows[idx];
-            match stream.refill_lane::<Dna>(lane, t, p, *k) {
-                Ok(LaneLoad::Pending) => {
-                    loaded[lane] = idx;
+    let mut loaded = [usize::MAX; STREAM_LANES];
+    stream.load_text::<Dna>(text);
+    // Feeds `lane` until it holds a pending scan or the queue dries.
+    let mut feed = |stream: &mut DcLaneStream,
+                    lane: usize,
+                    outcomes: &mut [Option<Occurrence>],
+                    loaded: &mut [usize; STREAM_LANES]| {
+        while next < scans.len() {
+            let (p, k) = &scans[next];
+            next += 1;
+            match stream.refill_lane::<Dna>(lane, p, *k) {
+                Ok(()) => {
+                    loaded[lane] = next - 1;
                     return;
                 }
-                Ok(LaneLoad::Resolved) => {
-                    outcomes[idx] = Some(Ok(stream.outcome(lane)));
-                }
-                Err(e) => outcomes[idx] = Some(Err(e)),
+                Err(e) => outcomes[next - 1] = Some(Err(e)),
             }
         }
-    }
-    for lane in 0..L {
-        feed(stream, lane, windows, &mut outcomes, &mut next, &mut loaded);
+    };
+    for lane in 0..STREAM_LANES {
+        feed(stream, lane, &mut outcomes, &mut loaded);
     }
     let mut resolved = Vec::new();
+    let mut steps = 0u64;
     while stream.active_lanes() > 0 {
         resolved.clear();
         stream.step(&mut resolved);
+        steps += 1;
         for &lane in &resolved {
             outcomes[loaded[lane]] = Some(Ok(stream.outcome(lane)));
-            feed(stream, lane, windows, &mut outcomes, &mut next, &mut loaded);
+            stream.release_lane(lane);
+            feed(stream, lane, &mut outcomes, &mut loaded);
         }
     }
-    let ops = stream.take_scan_ops();
     (
         outcomes
             .into_iter()
-            .map(|o| o.expect("every window drains"))
+            .map(|o| o.expect("every scan drains"))
             .collect(),
-        ops,
+        steps,
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(60))]
-
-    /// The 16-lane row kernels are bit-identical to the scalar window
-    /// kernel: same distances, same stored bitvectors, same traceback
-    /// walks — across mixed window sizes, ragged lane counts
-    /// (1..=16 of 16), and early-terminating k budgets.
-    #[test]
-    fn sixteen_lane_rows_match_scalar_window_dc(
-        windows in proptest::collection::vec(
-            (dna_seq(64), dna_seq(64), 0usize..66),
-            1..=16,
-        ),
-    ) {
-        let mut arena = MultiDcArena::<16>::new();
-        let lanes: Vec<MultiLane> = windows
-            .iter()
-            .map(|(t, p, k)| MultiLane { text: t, pattern: p, k_max: *k })
-            .collect();
-        window_dc_multi_into::<Dna, 16>(&lanes, &mut arena);
-        for (l, (t, p, k)) in windows.iter().enumerate() {
-            let scalar = window_dc::<Dna>(t, p, *k).unwrap();
-            prop_assert_eq!(&Ok(scalar.edit_distance), &arena.outcomes()[l], "lane {}", l);
-            let view = arena.lane(l);
-            prop_assert_eq!(view.rows(), scalar.bitvectors.rows(), "lane {}", l);
-            for d in 0..view.rows() {
-                for i in 0..t.len() {
-                    prop_assert_eq!(view.match_at(i, d), scalar.bitvectors.match_at(i, d));
-                    prop_assert_eq!(view.ins_at(i, d), scalar.bitvectors.ins_at(i, d));
-                    prop_assert_eq!(view.del_at(i, d), scalar.bitvectors.del_at(i, d));
-                }
+/// A text for the stream: DNA, sometimes empty, sometimes carrying an
+/// invalid byte.
+fn stream_text() -> impl Strategy<Value = Vec<u8>> {
+    (dna_seq(160), 0usize..8, any::<usize>()).prop_map(|(mut text, kind, pos)| {
+        match kind {
+            0 => text.clear(),
+            1 => {
+                let len = text.len();
+                text[pos % len] = b'N';
             }
-            if let Some(d) = scalar.edit_distance {
-                let walk_scalar = window_traceback(
-                    &scalar.bitvectors, d, usize::MAX, &TracebackOrder::affine()).unwrap();
-                let walk_lane = window_traceback(
-                    &view, d, usize::MAX, &TracebackOrder::affine()).unwrap();
-                prop_assert_eq!(walk_scalar.ops, walk_lane.ops, "lane {}", l);
-            }
+            _ => {}
         }
-        // Distance-only mode reports the identical distances.
-        let mut fast = MultiDcArena::<16>::new();
-        window_dc_multi_distance_into::<Dna, 16>(&lanes, &mut fast);
-        prop_assert_eq!(arena.outcomes(), fast.outcomes());
-    }
+        text
+    })
+}
 
-    /// The fused occurrence hit test matches the scalar occurrence
-    /// kernel window for window, at 4 and 16 lanes, and scans a lane's
-    /// column only in the `d >= m` exactness fallback: the scan-op
-    /// total is exactly `n` for each window that resolves at `d = m`
-    /// and 0 for every other. The k range deliberately crosses
-    /// `k >= m` so the fallback is exercised.
+/// A pattern block: DNA up to [`MAX_WINDOW`] characters, sometimes
+/// empty, over-long, or carrying an invalid byte.
+fn stream_block() -> impl Strategy<Value = Vec<u8>> {
+    (dna_seq(MAX_WINDOW), 0usize..16, any::<usize>()).prop_map(|(mut block, kind, pos)| {
+        match kind {
+            0 => block.clear(),
+            1 => block.resize(MAX_WINDOW + 1, b'A'),
+            2 => {
+                let len = block.len();
+                block[pos % len] = b'n';
+            }
+            _ => {}
+        }
+        block
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// The shared-text occurrence stream matches the scalar occurrence
+    /// kernel scan for scan — distances, exhausted budgets, and input
+    /// errors in the scalar precedence — and its row counters are
+    /// analytic: `STREAM_LANES × STREAM_LEVELS` lane-levels issued per
+    /// step, and one useful level per depth each scan needed (row 0
+    /// included), so no scan ever runs past its resolving level. The
+    /// budgets cross `k >= m`, so scans resolving at `d = m` (where
+    /// every position hits) are exercised, and one stream serves every
+    /// case, so texts of every length reuse its buffers.
     #[test]
-    fn fused_occurrence_hit_test_matches_scalar(
-        windows in proptest::collection::vec(
-            (dna_seq(48), dna_seq(24), 0usize..32),
-            1..=20,
-        ),
+    fn occurrence_stream_matches_scalar_on_shared_text(
+        text in stream_text(),
+        scans in proptest::collection::vec((stream_block(), 0usize..70), 1..=12),
     ) {
+        thread_local! {
+            static STREAM: std::cell::RefCell<DcLaneStream> =
+                std::cell::RefCell::new(DcLaneStream::new());
+        }
         let mut scalar_arena = DcArena::new();
-        let scalar: Vec<Occurrence> = windows
+        let scalar: Vec<Occurrence> = scans
             .iter()
-            .map(|(t, p, k)| occurrence_distance_into::<Dna>(t, p, *k, &mut scalar_arena))
+            .map(|(p, k)| occurrence_distance_into::<Dna>(&text, p, *k, &mut scalar_arena))
             .collect();
-        let fallback_ops: u64 = windows
+        let useful: u64 = scans
             .iter()
             .zip(&scalar)
-            .filter(|((_, p, _), outcome)| matches!(outcome, Ok(Some(d)) if *d == p.len()))
-            .map(|((t, _, _), _)| t.len() as u64)
+            .map(|((_, k), outcome)| match outcome {
+                Ok(Some(d)) => *d as u64 + 1,
+                Ok(None) => *k as u64 + 1,
+                Err(_) => 0,
+            })
             .sum();
-
-        let mut fused4 = DcLaneStream::<4>::occurrence_scan();
-        let (out_f4, ops_f4) = run_occurrence_stream(&mut fused4, &windows);
-        prop_assert_eq!(&out_f4, &scalar, "fused x4 vs scalar");
-        prop_assert_eq!(ops_f4, fallback_ops, "x4 scanned outside the d >= m fallback");
-
-        let mut fused16 = DcLaneStream::<16>::occurrence_scan();
-        let (out_f16, ops_f16) = run_occurrence_stream(&mut fused16, &windows);
-        prop_assert_eq!(&out_f16, &scalar, "fused x16 vs scalar");
-        prop_assert_eq!(ops_f16, fallback_ops, "x16 scanned outside the d >= m fallback");
+        let (outcomes, steps, counters) = STREAM.with(|stream| {
+            let stream = &mut *stream.borrow_mut();
+            stream.take_row_counters();
+            let (outcomes, steps) = run_occurrence_stream(stream, &text, &scans);
+            (outcomes, steps, stream.take_row_counters())
+        });
+        prop_assert_eq!(&outcomes, &scalar);
+        prop_assert_eq!(
+            counters,
+            (steps * (STREAM_LANES * STREAM_LEVELS) as u64, useful)
+        );
     }
 }
 

@@ -163,6 +163,26 @@ impl EngineConfig {
     }
 }
 
+/// A worker's lane-row `(issued, useful)` and traceback
+/// `(windows, rows)` totals across the scratches it used.
+#[derive(Default)]
+struct Counters {
+    lane_rows: (u64, u64),
+    tb: (u64, u64),
+}
+
+impl Counters {
+    /// Moves `scratch`'s counters into the totals.
+    fn bank(&mut self, kernel: &dyn Kernel, scratch: &mut dyn KernelScratch) {
+        let (issued, useful) = kernel.take_lane_rows(scratch);
+        let (windows, rows) = kernel.take_tb_counters(scratch);
+        self.lane_rows.0 += issued;
+        self.lane_rows.1 += useful;
+        self.tb.0 += windows;
+        self.tb.1 += rows;
+    }
+}
+
 /// The batch alignment engine. See the crate docs for the full story.
 #[derive(Clone)]
 pub struct Engine {
@@ -695,6 +715,11 @@ impl Engine {
                             scratch
                         };
                         let mut scratch = make_scratch();
+                        // Lane-row and traceback counters banked from
+                        // every scratch this worker used: a scratch a
+                        // panic discards still holds the counts of the
+                        // work done on it before.
+                        let mut counters = Counters::default();
                         // Queue-access markers; the per-chunk work shows
                         // up as the scheduler's dc/tb spans.
                         let mut claims = telemetry
@@ -743,6 +768,7 @@ impl Engine {
                                 // time on a fresh one — isolating the
                                 // job(s) that actually panic while
                                 // their chunk-mates complete.
+                                counters.bank(kernel, scratch.as_mut());
                                 scratch = make_scratch();
                                 let already: Vec<usize> =
                                     produced[before..].iter().map(|(i, _)| *i).collect();
@@ -760,6 +786,7 @@ impl Engine {
                                     match retried {
                                         Ok(result) => produced.push((index, result)),
                                         Err(payload) => {
+                                            counters.bank(kernel, scratch.as_mut());
                                             scratch = make_scratch();
                                             produced.push((
                                                 index,
@@ -770,9 +797,8 @@ impl Engine {
                                 }
                             }
                         }
-                        let lane_rows = kernel.take_lane_rows(scratch.as_mut());
-                        let tb = kernel.take_tb_counters(scratch.as_mut());
-                        (produced, busy, max_job, lane_rows, tb)
+                        counters.bank(kernel, scratch.as_mut());
+                        (produced, busy, max_job, counters.lane_rows, counters.tb)
                     })
                 })
                 .collect();
@@ -1169,6 +1195,12 @@ mod tests {
         fn preferred_chunk(&self) -> usize {
             self.inner.preferred_chunk()
         }
+        fn take_lane_rows(&self, scratch: &mut dyn KernelScratch) -> (u64, u64) {
+            self.inner.take_lane_rows(scratch)
+        }
+        fn take_tb_counters(&self, scratch: &mut dyn KernelScratch) -> (u64, u64) {
+            self.inner.take_tb_counters(scratch)
+        }
     }
 
     /// Suppresses panic-hook spam for panics this test suite injects
@@ -1234,6 +1266,52 @@ mod tests {
             // serving after poisoned batches.
             let again = engine.align_batch_with_stats(&jobs);
             assert_eq!(again.stats.jobs_poisoned, triggered.len() as u64);
+        }
+    }
+
+    #[test]
+    fn poisoned_batches_keep_their_row_and_traceback_counters() {
+        silence_injected_panics();
+        let jobs = jobs();
+        let poisoned = 1; // pattern length 93, the trigger below
+        let counts = |stats: &BatchStats| {
+            [
+                stats.dc_rows_issued,
+                stats.dc_rows_useful,
+                stats.tb_windows,
+                stats.tb_rows,
+            ]
+        };
+        for chunk in [1usize, 4] {
+            let config = EngineConfig::default().with_workers(1).with_chunk(chunk);
+            let clean = Engine::new(config.clone());
+            let run = |batch: &[Job]| counts(&clean.align_batch_with_stats(batch).stats);
+            // The panicking chunk re-runs its jobs one at a time, so
+            // its clean share is replaced by its other jobs' solo
+            // runs; a solo retry runs the scalar kernel, which walks
+            // the same tracebacks but issues no lock-step rows.
+            let start = poisoned / chunk * chunk;
+            let mut want = run(&jobs);
+            let mates = start..(start + chunk).min(jobs.len());
+            let chunk_share = run(&jobs[mates.clone()]);
+            for (w, c) in want.iter_mut().zip(chunk_share) {
+                *w -= c;
+            }
+            for mate in mates.filter(|&j| j != poisoned) {
+                let [_, _, windows, rows] = run(&jobs[mate..=mate]);
+                want[2] += windows;
+                want[3] += rows;
+            }
+            let engine = Engine::with_kernel(
+                config,
+                Arc::new(PanickyKernel {
+                    inner: GenAsmKernel::new(GenAsmConfig::default()),
+                    trigger_len: jobs[poisoned].pattern.len(),
+                }),
+            );
+            let output = engine.align_batch_with_stats(&jobs);
+            assert_eq!(output.stats.jobs_poisoned, 1);
+            assert_eq!(counts(&output.stats), want, "chunk={chunk}");
         }
     }
 

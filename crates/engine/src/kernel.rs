@@ -24,7 +24,7 @@ pub enum DcDispatch {
     /// The lock-step schedulers of [`lockstep`](crate::lockstep): full
     /// alignments advance up to four windows per DC pass, and
     /// distance-only scans stream pattern blocks through the
-    /// persistent-lane occurrence stream (bit-identical results). The
+    /// shared-text occurrence stream (bit-identical results). The
     /// engine default.
     #[default]
     Lockstep,

@@ -18,9 +18,10 @@
 //!   scheduling only changes *when* windows are computed, never
 //!   *what*.
 //! * **Distance-only mode** ([`distance_chunk_streaming`], phase 1):
-//!   every job's 64-character pattern blocks stream through a
-//!   [`DcLaneStream`] occurrence scan whose lanes advance at their own
-//!   depths and refill the moment they resolve.
+//!   one job at a time, the job's text is loaded into a
+//!   [`DcLaneStream`] and its 64-character pattern blocks stream
+//!   through the stream's lanes, which advance at their own depths,
+//!   two levels per pass, and refill the moment they resolve.
 //!
 //! Configurations outside the lock-step kernels' domain (wide windows,
 //! the SENE kernel, global mode) and stragglers (a walk that reaches a
@@ -36,10 +37,9 @@ use genasm_core::align::{
 use genasm_core::alphabet::Dna;
 use genasm_core::dc::MAX_WINDOW;
 use genasm_core::dc_multi::{
-    window_dc_multi_into, DcLaneStream, LaneLoad, MultiDcArena, MultiLane, DEFAULT_LANES,
+    window_dc_multi_into, DcLaneStream, MultiDcArena, MultiLane, DEFAULT_LANES, STREAM_LANES,
 };
 use genasm_core::error::AlignError;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Lanes of every lock-step pass: four `u64` lanes fill one 256-bit
@@ -80,7 +80,7 @@ impl TbCounters {
 #[derive(Debug)]
 pub struct LockstepScratch {
     pub(crate) multi: MultiDcArena<LANES>,
-    pub(crate) occurrence: DcLaneStream<LANES>,
+    pub(crate) occurrence: DcLaneStream,
     pub(crate) scalar: AlignArena,
     pub(crate) tb: TbCounters,
     /// Per-worker telemetry installed by the engine when its
@@ -94,7 +94,7 @@ impl Default for LockstepScratch {
     fn default() -> Self {
         LockstepScratch {
             multi: MultiDcArena::new(),
-            occurrence: DcLaneStream::occurrence_scan(),
+            occurrence: DcLaneStream::new(),
             scalar: AlignArena::new(),
             tb: TbCounters::default(),
             obs: None,
@@ -320,195 +320,86 @@ pub(crate) fn distance_job_scalar(
     block_occurrence_distance_into::<Dna>(text, pattern, k_max, arena)
 }
 
-/// Per-job accumulation state of the block-decomposed distance scan.
-/// Block outcomes can arrive out of order (a job's blocks occupy
-/// different lanes), but the job's result must match the scalar
-/// reference, which folds blocks strictly in order — e.g. an early
-/// block exhausting the budget short-circuits to `Ok(None)` before a
-/// later block's validation error is ever observed. Outcomes are
-/// therefore buffered per block and folded only as the ordered prefix
-/// completes.
-#[derive(Debug, Clone, Default)]
-struct BlockSum {
-    /// Buffered per-block outcomes, in block order.
-    outcomes: Vec<Option<Result<Option<usize>, AlignError>>>,
-    /// Blocks folded so far (the ordered prefix).
-    folded: usize,
-    /// Sum of folded block distances.
-    sum: usize,
-    /// Blocks issued onto lanes so far (the next block to scan).
-    issued: usize,
-    /// `true` once the job resolved (all blocks folded, budget
-    /// exceeded, or error): its remaining blocks are skipped.
-    decided: bool,
-}
-
-/// One chunk's block scan: the block queue, per-job accumulators and
-/// lane bookkeeping [`distance_chunk_streaming`] drives over the
-/// worker's occurrence stream.
-struct BlockScan<'j, 's> {
-    jobs: &'j [DistanceJob],
-    stream: &'s mut DcLaneStream<LANES>,
-    sums: Vec<BlockSum>,
-    /// Undecided job indices with blocks left to issue, in job order.
-    queue: VecDeque<usize>,
-    /// The (job, block) each lane currently carries.
-    loaded: [Option<(usize, usize)>; LANES],
-    /// Per-job results, filled as jobs are decided.
-    results: Vec<Option<Result<Option<usize>, AlignError>>>,
-}
-
-impl BlockScan<'_, '_> {
-    /// Buffers one block outcome and folds the job's completed ordered
-    /// prefix, mirroring the scalar reference's in-order short-circuit
-    /// rules exactly.
-    fn absorb(&mut self, idx: usize, block: usize, outcome: Result<Option<usize>, AlignError>) {
-        let k_max = self.jobs[idx].k_max;
-        let state = &mut self.sums[idx];
-        if state.decided {
-            return;
-        }
-        state.outcomes[block] = Some(outcome);
-        while !state.decided {
-            let Some(next) = state.outcomes.get(state.folded).cloned().flatten() else {
-                break;
-            };
-            let decided = match next {
-                Ok(Some(d)) => {
-                    state.sum += d;
-                    state.folded += 1;
-                    if state.sum > k_max {
-                        Some(Ok(None))
-                    } else if state.folded == state.outcomes.len() {
-                        Some(Ok(Some(state.sum)))
-                    } else {
-                        None
-                    }
-                }
-                // A block past the budget caps the sum past it too.
-                Ok(None) => Some(Ok(None)),
-                Err(e) => Some(Err(e)),
-            };
-            if let Some(result) = decided {
-                state.decided = true;
-                self.results[idx] = Some(result);
-            }
-        }
-    }
-
-    /// Tops `lane` up from the block queue, skipping blocks of decided
-    /// jobs and looping through instant resolutions until the lane
-    /// holds a pending scan or the queue runs dry (then the lane is
-    /// released and idles through the tail).
-    fn feed_lane(&mut self, lane: usize) {
-        loop {
-            // Drop decided and fully-issued jobs off the queue front.
-            while let Some(&front) = self.queue.front() {
-                if self.sums[front].decided
-                    || self.sums[front].issued * MAX_WINDOW >= self.jobs[front].pattern.len()
-                {
-                    self.queue.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let Some(&idx) = self.queue.front() else {
-                self.stream.release_lane(lane);
-                self.loaded[lane] = None;
-                return;
-            };
-            let block_no = self.sums[idx].issued;
-            self.sums[idx].issued += 1;
-            let job = &self.jobs[idx];
-            #[cfg(feature = "chaos")]
-            genasm_chaos::check(genasm_chaos::sites::ENGINE_KERNEL_PANIC, job.key);
-            let block_start = block_no * MAX_WINDOW;
-            let block =
-                &job.pattern[block_start..(block_start + MAX_WINDOW).min(job.pattern.len())];
-            match self
-                .stream
-                .refill_lane::<Dna>(lane, &job.text, block, job.k_max)
-            {
-                Ok(LaneLoad::Pending) => {
-                    self.loaded[lane] = Some((idx, block_no));
-                    return;
-                }
-                Ok(LaneLoad::Resolved) => {
-                    let outcome = Ok(self.stream.outcome(lane));
-                    self.absorb(idx, block_no, outcome);
-                }
-                Err(e) => self.absorb(idx, block_no, Err(e)),
-            }
-        }
-    }
-
-    /// Feeds every lane, then steps until the stream drains.
-    fn run(&mut self) {
-        for lane in 0..LANES {
-            self.feed_lane(lane);
-        }
-        let mut resolved = Vec::with_capacity(LANES);
-        while self.stream.active_lanes() > 0 {
-            resolved.clear();
-            self.stream.step(&mut resolved);
-            for &lane in &resolved {
-                let (idx, block_no) = self.loaded[lane].expect("resolved lane is loaded");
-                let outcome = Ok(self.stream.outcome(lane));
-                self.absorb(idx, block_no, outcome);
-                self.feed_lane(lane);
-            }
-            // A resolution can decide a job early (budget exceeded or
-            // error); its sibling blocks still in flight on other
-            // lanes would burn rows to no purpose, so hand those lanes
-            // fresh work immediately — the scalar reference
-            // short-circuits after the deciding block the same way.
-            for lane in 0..LANES {
-                if self.loaded[lane].is_some_and(|(idx, _)| self.sums[idx].decided) {
-                    self.feed_lane(lane);
-                }
-            }
-        }
-    }
-}
-
-/// Runs a chunk of distance jobs through the **persistent-lane
-/// occurrence stream**: every job's disjoint 64-character pattern
-/// blocks become independent lane scans of the job's text, each lane at
-/// its own depth, refilled the moment it resolves — no row storage, no
-/// TB-SRAM. Per-job results (the summed block distances, `None` past
-/// the job's budget) come back in chunk order, identical to
-/// [`distance_job_scalar`] on each job alone.
+/// Runs a chunk of distance jobs through the **shared-text occurrence
+/// stream**, one job at a time: the job's text is loaded once and its
+/// disjoint 64-character pattern blocks become lane scans of it, each
+/// lane at its own depth, refilled with the job's next block the moment
+/// it resolves — no row storage, no TB-SRAM. When the job has no block
+/// left to issue, freed lanes idle until its in-flight blocks resolve;
+/// then the next job's text loads. Per-job results (the summed block
+/// distances, `None` past the job's budget) come back in chunk order,
+/// identical to [`distance_job_scalar`] on each job alone.
 pub(crate) fn distance_chunk_streaming(
     jobs: &[DistanceJob],
-    stream: &mut DcLaneStream<LANES>,
+    stream: &mut DcLaneStream,
 ) -> Vec<Result<Option<usize>, AlignError>> {
-    let mut scan = BlockScan {
-        jobs,
-        stream,
-        sums: Vec::with_capacity(jobs.len()),
-        queue: VecDeque::with_capacity(jobs.len()),
-        loaded: [None; LANES],
-        results: vec![None; jobs.len()],
-    };
-    for (idx, job) in jobs.iter().enumerate() {
-        scan.sums.push(BlockSum {
-            outcomes: vec![None; job.pattern.len().div_ceil(MAX_WINDOW)],
-            ..BlockSum::default()
-        });
-        // Empty patterns have no blocks; they resolve immediately with
-        // the scalar metric's error.
-        if job.pattern.is_empty() {
-            scan.sums[idx].decided = true;
-            scan.results[idx] = Some(Err(AlignError::EmptyPattern));
-        } else {
-            scan.queue.push_back(idx);
+    let mut outcomes = Vec::new();
+    jobs.iter()
+        .map(|job| distance_job_streaming(job, stream, &mut outcomes))
+        .collect()
+}
+
+/// One job's block scan on `stream`. Block outcomes arrive out of
+/// order (a job's blocks occupy different lanes), but the result must
+/// match the scalar reference, which folds blocks strictly in order —
+/// e.g. an early block exhausting the budget short-circuits to
+/// `Ok(None)` before a later block's validation error is ever
+/// observed. Outcomes are therefore buffered per block in `outcomes`
+/// and folded only as the ordered prefix completes; once that decides
+/// the job, blocks still in flight are abandoned, as the scalar
+/// reference never scans blocks past the decision.
+fn distance_job_streaming(
+    job: &DistanceJob,
+    stream: &mut DcLaneStream,
+    outcomes: &mut Vec<Option<Result<Option<usize>, AlignError>>>,
+) -> Result<Option<usize>, AlignError> {
+    if job.pattern.is_empty() {
+        return Err(AlignError::EmptyPattern);
+    }
+    #[cfg(feature = "chaos")]
+    genasm_chaos::check(genasm_chaos::sites::ENGINE_KERNEL_PANIC, job.key);
+    stream.load_text::<Dna>(&job.text);
+    let m = job.pattern.len();
+    let blocks = m.div_ceil(MAX_WINDOW);
+    let block = |b: usize| &job.pattern[b * MAX_WINDOW..((b + 1) * MAX_WINDOW).min(m)];
+    outcomes.clear();
+    outcomes.resize(blocks, None);
+    let (mut issued, mut folded, mut sum) = (0usize, 0usize, 0usize);
+    let mut loaded: [Option<usize>; STREAM_LANES] = [None; STREAM_LANES];
+    let mut resolved = Vec::with_capacity(STREAM_LANES);
+    loop {
+        for (lane, slot) in loaded.iter_mut().enumerate() {
+            while slot.is_none() && issued < blocks {
+                match stream.refill_lane::<Dna>(lane, block(issued), job.k_max) {
+                    Ok(()) => *slot = Some(issued),
+                    Err(e) => outcomes[issued] = Some(Err(e)),
+                }
+                issued += 1;
+            }
+        }
+        while let Some(Some(outcome)) = outcomes.get(folded) {
+            match outcome {
+                Ok(Some(d)) => sum += d,
+                // A block past the budget caps the sum past it too.
+                Ok(None) => return Ok(None),
+                Err(e) => return Err(e.clone()),
+            }
+            folded += 1;
+            if sum > job.k_max {
+                return Ok(None);
+            }
+        }
+        if folded == blocks {
+            return Ok(Some(sum));
+        }
+        resolved.clear();
+        stream.step(&mut resolved);
+        for &lane in &resolved {
+            let block = loaded[lane].take().expect("resolved lane is loaded");
+            outcomes[block] = Some(Ok(stream.outcome(lane)));
+            stream.release_lane(lane);
         }
     }
-    scan.run();
-    scan.results
-        .into_iter()
-        .map(|slot| slot.expect("every distance job in the chunk is resolved"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -659,6 +550,88 @@ mod tests {
             distance_job_scalar(&text, &divergent, 1, &mut scratch.scalar),
             Ok(None)
         ));
+    }
+
+    #[test]
+    fn distance_stream_edge_cases_match_scalar_block_sums() {
+        let mut scratch = LockstepScratch::default();
+        let base: Vec<u8> = b"ACGGTCATTGCAGGTTACAGT"
+            .iter()
+            .copied()
+            .cycle()
+            .take(700)
+            .collect();
+        let mut read = base[100..330].to_vec(); // 230 = 3 × 64 + 38: a short last block
+        read[7] = b'T';
+        read[140] = b'C';
+        read.remove(200);
+        let mut bad_read = read.clone();
+        bad_read[150] = b'N'; // invalid byte in block 2
+        let mut bad_text = base[..500].to_vec();
+        bad_text[321] = b'N';
+        let poly_c = vec![b'C'; 90];
+        let poly_a = vec![b'A'; 100]; // symbol-disjoint from poly_c: every block at d = m
+                                      // One chunk whose texts shrink and grow from job to job, so
+                                      // every job switch reloads the stream over stale buffers.
+        let mut chunk = Vec::new();
+        for k in 0..=5 {
+            // Budgets on either level of a two-level pass, below and
+            // above the job's total.
+            chunk.push(DistanceJob::new(&base[..600], &read, k));
+            chunk.push(DistanceJob::new(&base[90..400], &read, k + 6));
+        }
+        chunk.extend([
+            DistanceJob::new(&base[95..340], &read, read.len()),
+            DistanceJob::new(&poly_c, &poly_a, 100),
+            DistanceJob::new(&poly_c, &poly_a, 63),
+            DistanceJob::new(b"", &read, 20),
+            DistanceJob::new(&bad_text, &read, 20),
+            DistanceJob::new(&bad_text, &bad_read, 20),
+            DistanceJob::new(&base, &bad_read, 20),
+            DistanceJob::new(&base, &bad_read, 1), // block 0 exhausts the budget first
+            DistanceJob::new(&base[..64], &read[..5], 5),
+            DistanceJob::new(&base[..3], &read, read.len()),
+        ]);
+        let got = distance_chunk_streaming(&chunk, &mut scratch.occurrence);
+        for (idx, (job, got)) in chunk.iter().zip(&got).enumerate() {
+            let want = distance_job_scalar(&job.text, &job.pattern, job.k_max, &mut scratch.scalar);
+            assert_eq!(&want, got, "job {idx}");
+        }
+
+        // With budgets no block sum can exceed and clean inputs, every
+        // block is scanned to its resolving depth: the useful levels
+        // are each block's scalar occurrence distance + 1, row 0
+        // included, and each pass issues STREAM_LANES × STREAM_LEVELS.
+        let clean: Vec<DistanceJob> = chunk
+            .iter()
+            .filter(|j| !j.text.is_empty() && !j.text.contains(&b'N') && !j.pattern.contains(&b'N'))
+            .map(|j| DistanceJob::new(&j.text, &j.pattern, j.pattern.len()))
+            .collect();
+        scratch.occurrence.take_row_counters();
+        distance_chunk_streaming(&clean, &mut scratch.occurrence);
+        let (issued, useful) = scratch.occurrence.take_row_counters();
+        let mut dc = genasm_core::dc::DcArena::new();
+        let want_useful: u64 = clean
+            .iter()
+            .flat_map(|j| j.pattern.chunks(MAX_WINDOW).map(move |b| (&j.text, b)))
+            .map(|(text, block)| {
+                let d = genasm_core::dc::occurrence_distance_into::<Dna>(
+                    text,
+                    block,
+                    block.len(),
+                    &mut dc,
+                )
+                .unwrap()
+                .expect("d = m always hits");
+                d as u64 + 1
+            })
+            .sum();
+        assert_eq!(useful, want_useful);
+        assert_eq!(
+            issued % (STREAM_LANES * genasm_core::dc_multi::STREAM_LEVELS) as u64,
+            0
+        );
+        assert!(issued >= useful);
     }
 
     #[test]

@@ -32,13 +32,14 @@ pub struct BatchStats {
     /// when it retires.
     pub max_job: Duration,
     /// Lock-step DC lane-slots issued across all workers (every
-    /// full-width recurrence row issues one slot per lane). Zero under
+    /// full-width recurrence row issues one slot per lane; every
+    /// distance-only stream pass one per lane and level). Zero under
     /// scalar dispatch and for kernels without lock-step scheduling.
     pub dc_rows_issued: u64,
     /// The subset of issued lane-slots that advanced a loaded, still
-    /// unresolved window — the rows that did useful work. The gap to
-    /// `dc_rows_issued` is the waste from divergent window distances
-    /// (chunked dispatch) and tail drain.
+    /// unresolved window or block — the rows that did useful work, row
+    /// 0 included. The gap to `dc_rows_issued` is the waste from
+    /// divergent window distances and tail drain.
     pub dc_rows_useful: u64,
     /// Windows whose traceback was walked across the batch. Zero for
     /// distance-only batches and kernels without TB accounting.

@@ -743,7 +743,7 @@ impl ReadMapper {
     /// 2. **Distance** (two-phase mode) — contested reads' survivors
     ///    become key-tagged [`DistanceJob`]s and run the engine's
     ///    distance-only machinery ([`Engine::distance_batch_keyed`]):
-    ///    no row storage, no TB-SRAM, the persistent-lane occurrence
+    ///    no row storage, no TB-SRAM, the shared-text occurrence
     ///    stream under lock-step dispatch. Uncontested reads (a single
     ///    survivor) skip the scan entirely — with one candidate there
     ///    is nothing to resolve.

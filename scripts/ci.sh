@@ -38,13 +38,14 @@ echo "==> cargo test -q (mapper identity suites, portable fallback)"
 cargo test -p genasm-mapper --no-default-features -q \
     --test batch_identity --test index_identity --test two_phase --test sam_identity
 
-echo "==> 16-lane, fused hit-test and tier-1 kernel paths (default and portable fallback)"
-# The wide-lane, fused-accumulator and tier-1 occurrence properties
-# must hold on both the explicit SIMD build and the portable fallback
-# (where every width runs the plain lane loop) — see docs/KERNELS.md.
-cargo test -p genasm-core -q --test proptests -- sixteen_lane fused_occurrence cascade_tier1
+echo "==> lock-step lanes, occurrence stream and tier-1 kernel paths (default and portable fallback)"
+# The lock-step lane, shared-text occurrence stream and tier-1
+# occurrence properties must hold on both the explicit SIMD build and
+# the portable fallback (where every kernel runs its plain lane loop) —
+# see docs/KERNELS.md.
+cargo test -p genasm-core -q --test proptests -- lockstep_lanes occurrence_stream cascade_tier1
 cargo test -p genasm-core --no-default-features -q --test proptests -- \
-    sixteen_lane fused_occurrence cascade_tier1
+    lockstep_lanes occurrence_stream cascade_tier1
 
 echo "==> chaos suites (--features chaos: deterministic fault injection)"
 # The workspace build above is the proof the default build carries no
@@ -199,7 +200,7 @@ check_bench_fields BENCH_dc_multi.json \
     rows_issued rows_vs_flat filter_threshold \
     tb_rows distance_secs job_latency_p50_us job_latency_p99_us \
     simd_level simd_level_rank \
-    kernel_fused_hit_test fused_scan_ops fallback_scan_ops
+    kernel_fused_hit_test fused_rows_useful analytic_rows_useful
 check_bench_fields BENCH_map.json \
     pipeline reads_per_sec occupancy seed_seconds filter_seconds align_seconds \
     simd_level \
